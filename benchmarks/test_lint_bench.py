@@ -4,21 +4,21 @@ The CI lint job runs before everything else and carries no pip cache,
 so ``repro lint`` earning its keep depends on it staying a
 seconds-not-minutes pass over the whole package.  This bench times a
 full-tree run of the default rule set plus a pin regeneration into a
-scratch file, emits ``BENCH_lint.json`` at the repo root (module
-count, finding count — asserted zero, the tree invariant — and
+scratch file, emits ``BENCH_lint.json`` into ``$REPRO_BENCH_DIR``
+(module count, finding count — asserted zero, the tree invariant — and
 wall-clock), and prints the rule catalogue as the reproduction log.
 """
 
 import json
 import time
-from pathlib import Path
 
 from repro.analysis import default_rules, iter_modules, run_lint
 from repro.analysis.pins import update_pins
+from repro.utils.benchdir import bench_path
 
 from benchmarks.conftest import emit
 
-BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_lint.json"
+BENCH_JSON = bench_path("BENCH_lint.json")
 
 MAX_SECONDS = 30.0
 """Generous ceiling: the full-tree pass takes well under a second on a

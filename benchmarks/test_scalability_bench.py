@@ -1,6 +1,6 @@
 """Scalability benchmark: serial vs parallel, whole vs partitioned.
 
-Emits ``BENCH_scale.json`` at the repo root so the performance
+Emits ``BENCH_scale.json`` into ``$REPRO_BENCH_DIR`` so the performance
 trajectory of the ``repro.scale`` subsystem is machine-readable across
 PRs, alongside ``BENCH_solver.json``:
 
@@ -19,7 +19,6 @@ pickling), so the speedup assertion is gated on the visible CPU count
 import json
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -37,8 +36,9 @@ from repro.experiments import ExperimentScale, run_scalability
 from repro.graphs import partition_assignment, stochastic_block_model
 from repro.graphs.features import community_bag_of_words
 from repro.scale import DivideAndConquerAligner
+from repro.utils.benchdir import bench_path
 
-BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_scale.json"
+BENCH_JSON = bench_path("BENCH_scale.json")
 
 BENCH_CFG = SLOTAlignConfig(
     n_bases=2, structure_lr=0.1, max_outer_iter=60, sinkhorn_iter=40,

@@ -3,7 +3,7 @@
 Drives :func:`repro.experiments.run_serve_traffic` — a burst of
 requests cycling over a few distinct pairs through the
 :class:`~repro.serve.AlignmentService` worker pool — and emits
-``BENCH_serve.json`` at the repo root so the serving layer's
+``BENCH_serve.json`` into ``$REPRO_BENCH_DIR`` so the serving layer's
 performance trajectory (pairs/sec, cache hit rate, p50/p99 latency,
 coalescing counters) is machine-readable across PRs, alongside
 ``BENCH_solver.json`` and ``BENCH_scale.json``.
@@ -18,14 +18,14 @@ the solver gate).
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.experiments import run_serve_traffic
 from repro.serve import JobState
+from repro.utils.benchdir import bench_path
 
-BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
+BENCH_JSON = bench_path("BENCH_serve.json")
 
 TRAFFIC = dict(
     dataset="cora",

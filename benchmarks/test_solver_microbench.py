@@ -7,14 +7,13 @@ fast kernel-domain projection agrees with the log-domain reference,
 compares the engine's solver backends (asserting the batched portfolio
 is bitwise-equal to the serial one while it races it), and emits
 ``BENCH_solver.json`` (per-phase solver timings plus per-backend fit
-times) at the repo root so the performance trajectory is
+times) into ``$REPRO_BENCH_DIR`` so the performance trajectory is
 machine-readable across PRs — ``benchmarks/compare_bench.py`` fails CI
 on regressions against the committed file.
 """
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -28,8 +27,9 @@ from repro.ot import (
     sinkhorn_log,
     sinkhorn_log_kernel_fast,
 )
+from repro.utils.benchdir import bench_path
 
-BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_solver.json"
+BENCH_JSON = bench_path("BENCH_solver.json")
 
 
 def _merge_into_bench(new_keys: dict) -> None:

@@ -5,9 +5,10 @@ Runtime has been tracked machine-readably since PR 1
 asserted.  This module gives accuracy the same treatment: every
 benchmark that regenerates a paper table reports the margin between
 SLOTAlign's Hit@1 and the best baseline's, and the margins accumulate
-in ``BENCH_fidelity.json`` at the repo root so a regression shows up as
-a sign flip in version control, not only as a red test four minutes
-into the suite.
+in ``BENCH_fidelity.json`` (written into ``$REPRO_BENCH_DIR``, see
+:mod:`repro.utils.benchdir`; the committed copy at the repo root is the
+baseline) so a regression shows up as a sign flip against version
+control, not only as a red test four minutes into the suite.
 
 The artefact maps ``table → {slotalign, best_baseline,
 best_baseline_name, margin, fixed}``; ``fixed`` records whether the
@@ -22,8 +23,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parents[3]
-FIDELITY_JSON = REPO_ROOT / "BENCH_fidelity.json"
+from repro.utils.benchdir import bench_path
 
 METHOD = "SLOTAlign"
 METRIC = "hits@1"
@@ -79,7 +79,7 @@ def record_fidelity(
     0.02 flips Table II negative), so an artefact regenerated at a
     different scale must be distinguishable from a regression.
     """
-    path = FIDELITY_JSON if path is None else Path(path)
+    path = _artifact_path(path)
     entry = fidelity_margin(rows, method=method, metric=metric)
     entry["fixed"] = bool(fixed)
     if dataset_scale is not None:
@@ -104,6 +104,10 @@ def record_fidelity(
     )
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return entry
+
+
+def _artifact_path(path: Path | None) -> Path:
+    return bench_path("BENCH_fidelity.json") if path is None else Path(path)
 
 
 def _load_artifact(path: Path) -> dict:
@@ -136,7 +140,7 @@ def record_partial(
     bijective pair — the value the overlap=1.0, zero-anchor sweep point
     must reproduce exactly (the parity gate in ``compare_bench.py``).
     """
-    path = FIDELITY_JSON if path is None else Path(path)
+    path = _artifact_path(path)
     cohort: dict = {"points": [dict(point) for point in points]}
     if dataset_scale is not None:
         cohort["dataset_scale"] = float(dataset_scale)
@@ -167,7 +171,7 @@ def record_decoders(
     PR-9 acceptance gate (``compare_bench.check_decoders`` requires at
     least two pairs where some decoder improves on row-argmax).
     """
-    path = FIDELITY_JSON if path is None else Path(path)
+    path = _artifact_path(path)
     cohort: dict = {"baseline_decoder": baseline_decoder, "pairs": {}}
     if dataset_scale is not None:
         cohort["dataset_scale"] = float(dataset_scale)
@@ -203,7 +207,7 @@ def record_decoders(
 
 def format_fidelity(path: Path | None = None) -> str:
     """One-line-per-table rendering of the current artefact."""
-    path = FIDELITY_JSON if path is None else Path(path)
+    path = _artifact_path(path)
     if not path.exists():
         return "(no fidelity artefact)"
     payload = json.loads(path.read_text())

@@ -32,7 +32,9 @@ class SinkhornResult:
     n_iterations:
         Iterations actually performed.
     marginal_error:
-        Final L1 violation of the row marginal.
+        Final L1 violation of the row marginal — of the column marginal
+        for the fast kernels, whose closing u-update makes the rows
+        exact.
     converged:
         Whether the tolerance was met before the iteration cap.
     """
@@ -183,6 +185,17 @@ whole solver.  Flushing them to exact zero keeps the scaling iteration
 on the fast path.
 """
 
+_LOG_FLUSH = -708.2
+"""Row-shifted log-kernel entries below this are zeroed, not exponentiated.
+
+``exp(-708.2) ≈ 2.7e-308`` lies below ``_SUBNORMAL_FLUSH``, so because
+exp is monotone every such entry would be flushed after the exponential
+anyway.  Skipping the exponential is what matters: ``np.exp`` leaves its
+vectorised fast path for arguments below about -707.7 and costs 15-20x
+more per element when the result underflows to zero, ~100x more when it
+is subnormal (see DESIGN.md, "Bitwise policy").
+"""
+
 
 def sinkhorn_log_kernel_fast(
     log_kernel: np.ndarray,
@@ -208,10 +221,16 @@ def sinkhorn_log_kernel_fast(
     Entries more than ~700 nats below their row maximum underflow to
     exactly zero; they carry negligible mass in the projection, and a
     small clamp keeps the column scalings finite regardless.  Entries
-    in the sub-normal range are flushed to zero up front (see
-    ``_SUBNORMAL_FLUSH``); the iteration itself reuses its matvec
-    buffers and recycles the convergence-check product into the next
-    ``u``-update, so the periodic tolerance check costs nothing.
+    below ``_LOG_FLUSH`` are written as zeros without being
+    exponentiated, and entries in the sub-normal range are flushed to
+    zero up front (see ``_SUBNORMAL_FLUSH``); the iteration itself
+    reuses its matvec buffers and recycles the convergence-check
+    product into the next ``u``-update, so the periodic tolerance check
+    costs nothing.
+
+    ``marginal_error`` is the L1 error of the returned plan's column
+    sums, and ``converged`` is True only when the periodic tolerance
+    check stopped the loop before ``max_iter``.
     """
     log_k = np.asarray(log_kernel, dtype=np.float64)
     mu = check_probability_vector(mu, log_k.shape[0], "mu")
@@ -219,8 +238,13 @@ def sinkhorn_log_kernel_fast(
     if not np.all(np.isfinite(log_k)):
         raise ConvergenceError("log kernel contains non-finite entries")
     row_max = log_k.max(axis=1, keepdims=True)
-    kernel = np.exp(log_k - row_max)
-    kernel[kernel < _SUBNORMAL_FLUSH] = 0.0
+    shifted = log_k - row_max
+    keep = np.greater_equal(shifted, _LOG_FLUSH, out=np.empty_like(shifted))
+    np.multiply(shifted, keep, out=shifted)  # dropped entries: exp(-0.0)
+    kernel = np.exp(shifted, out=shifted)
+    np.multiply(kernel, keep, out=kernel)
+    np.greater_equal(kernel, _SUBNORMAL_FLUSH, out=keep)
+    np.multiply(kernel, keep, out=kernel)
     kernel_t = kernel.T
     tiny = 1e-300
     u = np.ones_like(mu)
@@ -252,8 +276,8 @@ def sinkhorn_log_kernel_fast(
     u = mu / np.maximum(kv, tiny)
     plan = u[:, None] * kernel * v[None, :]
     plan[plan < _SUBNORMAL_FLUSH] = 0.0
-    err = float(np.abs(plan.sum(axis=1) - mu).sum())
-    return SinkhornResult(plan, iteration, err, converged or (tol > 0 and err < tol))
+    err = float(np.abs(plan.sum(axis=0) - nu).sum())
+    return SinkhornResult(plan, iteration, err, converged)
 
 
 def sinkhorn_log_kernel_fast_batched(
@@ -291,8 +315,13 @@ def sinkhorn_log_kernel_fast_batched(
     if not np.all(np.isfinite(log_k)):
         raise ConvergenceError("log kernel contains non-finite entries")
     row_max = log_k.max(axis=2, keepdims=True)
-    kernel = np.exp(log_k - row_max)
-    kernel[kernel < _SUBNORMAL_FLUSH] = 0.0
+    shifted = log_k - row_max
+    keep = np.greater_equal(shifted, _LOG_FLUSH, out=np.empty_like(shifted))
+    np.multiply(shifted, keep, out=shifted)  # dropped entries: exp(-0.0)
+    kernel = np.exp(shifted, out=shifted)
+    np.multiply(kernel, keep, out=kernel)
+    np.greater_equal(kernel, _SUBNORMAL_FLUSH, out=keep)
+    np.multiply(kernel, keep, out=kernel)
     tiny = 1e-300
     u = np.ones((n_runs, mu.shape[0]))
     v = np.ones((n_runs, nu.shape[0]))
@@ -307,14 +336,10 @@ def sinkhorn_log_kernel_fast_batched(
         u_close = mu / np.maximum(kv[rows], tiny)
         plans = u_close[:, :, None] * kernel[rows] * v[rows][:, None, :]
         plans[plans < _SUBNORMAL_FLUSH] = 0.0
-        errs = np.abs(plans.sum(axis=2) - mu).sum(axis=1)
+        errs = np.abs(plans.sum(axis=1) - nu).sum(axis=1)
         for offset, run in enumerate(active[rows]):
-            err = float(errs[offset])
             results[int(run)] = SinkhornResult(
-                plans[offset],
-                at_iteration,
-                err,
-                converged or (tol > 0 and err < tol),
+                plans[offset], at_iteration, float(errs[offset]), converged
             )
 
     for iteration in range(1, max_iter + 1):
@@ -347,6 +372,9 @@ def sinkhorn_log_kernel_fast_batched(
 
 _SUBNORMAL_FLUSH32 = 3e-38
 """Float32 analogue of ``_SUBNORMAL_FLUSH`` (smallest normal ≈1.2e-38)."""
+
+_LOG_FLUSH32 = -86.5
+"""Float32 analogue of ``_LOG_FLUSH``: ``exp(-86.5) ≈ 2.7e-38``."""
 
 F32_SINKHORN_TOL = 1e-5
 """Marginal-L1 tolerance floor for float32 Sinkhorn loops.
@@ -395,7 +423,8 @@ def sinkhorn_log_kernel_fast_workspace(
     bitwise contract.  (Frozen slices ride along in the stack matvecs;
     their scaling vectors become dead state that is never read again.
     No fancy-indexed copies, no allocation.)  Returns ``(iterations,
-    per-slice L1 row errors, all-slices-converged)``.
+    per-slice L1 column errors, all-slices-converged)``; a slice counts
+    as converged only when a tolerance check froze it.
 
     .. note:: **bitwise-pinned** — the ``fused-dense-f32`` /
        ``batched-f32`` / ``threaded-restart`` equivalence contract and
@@ -409,15 +438,19 @@ def sinkhorn_log_kernel_fast_workspace(
             f"n_slices must be in [1, {workspace.capacity}], got {n_slices}"
         )
     flush, tiny = _flush_constants(workspace.dtype)
+    log_flush = _LOG_FLUSH32 if workspace.dtype == np.float32 else _LOG_FLUSH
     log_k = workspace.log_kernel[:r]
     if not np.all(np.isfinite(log_k)):
         raise ConvergenceError("log kernel contains non-finite entries")
     row_max = workspace.row_max[:r]
     np.amax(log_k, axis=2, keepdims=True, out=row_max)
     np.subtract(log_k, row_max, out=log_k)
+    mask = workspace.mask[:r]
+    np.greater_equal(log_k, log_flush, out=mask)
+    np.multiply(log_k, mask, out=log_k)  # dropped entries: exp(-0.0)
     kernel = workspace.kernel[:r]
     np.exp(log_k, out=kernel)
-    mask = workspace.mask[:r]
+    np.multiply(kernel, mask, out=kernel)
     np.greater_equal(kernel, flush, out=mask)
     np.multiply(kernel, mask, out=kernel)
     kernel_t = kernel.swapaxes(1, 2)
@@ -445,10 +478,13 @@ def sinkhorn_log_kernel_fast_workspace(
         np.multiply(plans[index], v[index].swapaxes(0, 1), out=plans[index])
         np.greater_equal(plans[index], flush, out=mask[index])
         np.multiply(plans[index], mask[index], out=plans[index])
-        np.sum(plans[index], axis=1, keepdims=True, out=marg[index])
-        np.subtract(marg[index], mu_col, out=marg[index])
-        np.abs(marg[index], out=marg[index])
-        final_errors[index] = float(marg[index].sum())
+        # column sums into the slice's ktu, which every iteration
+        # rewrites before reading
+        col = ktu[index]
+        np.sum(plans[index], axis=0, keepdims=True, out=col.T)
+        np.subtract(col, nu_col, out=col)
+        np.abs(col, out=col)
+        final_errors[index] = float(col.sum())
 
     for iteration in range(1, max_iter + 1):
         if not have_kv:
@@ -477,20 +513,31 @@ def sinkhorn_log_kernel_fast_workspace(
     for index in range(r):
         if not frozen[index]:
             close(index)
-    converged = bool(
-        frozen.all() or (tol > 0 and float(final_errors.max()) < tol)
-    )
-    return iteration, final_errors, converged
+    return iteration, final_errors, False
 
 
-def _logsumexp_rows(log_matrix: np.ndarray) -> np.ndarray:
-    """Row-wise logsumexp with max-shift stabilisation."""
-    row_max = np.max(log_matrix, axis=1, keepdims=True)
-    row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    return (
-        row_max.ravel()
-        + np.log(np.sum(np.exp(log_matrix - row_max), axis=1))
-    )
+_LSE_FLOOR = -700.0
+"""Floor for the max-shifted logsumexp argument on rows with a finite max.
+
+``exp(-700) ≈ 9.9e-305`` is still on ``np.exp``'s fast path, and such a
+row holds an exact ``exp(0) = 1`` term, so terms below 1e-304 are
+absorbed by its sum whether or not they are floored.
+"""
+
+
+def _logsumexp_rows(matrix: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp with max-shift stabilisation.
+
+    Rows whose maximum is not finite are shifted by 0 and not floored,
+    so an all ``-inf`` row keeps its exact zero sum (``-inf`` result).
+    """
+    shift = matrix.max(axis=1)
+    finite = np.isfinite(shift)
+    shift = np.where(finite, shift, 0.0)
+    shifted = matrix - shift[:, None]
+    floor = np.where(finite, _LSE_FLOOR, -np.inf)
+    np.maximum(shifted, floor[:, None], out=shifted)
+    return shift + np.log(np.sum(np.exp(shifted, out=shifted), axis=1))
 
 
 def transport_cost(plan: np.ndarray, cost: np.ndarray) -> float:

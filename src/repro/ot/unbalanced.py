@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConvergenceError, ShapeError
-from repro.ot.sinkhorn import SinkhornResult
+from repro.ot.sinkhorn import SinkhornResult, _logsumexp_rows
 from repro.utils.validation import check_probability_vector
 
 
@@ -137,15 +137,6 @@ def sinkhorn_unbalanced_log_kernel(
     f_fixed = exponent * (log_mu - _logsumexp_rows(log_k + g[None, :]))
     err = float(np.abs(f - f_fixed).max())
     return SinkhornResult(plan, iteration, err, converged)
-
-
-def _logsumexp_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp, stable under ±inf-free max shifting."""
-    shift = matrix.max(axis=1)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    return shift + np.log(
-        np.sum(np.exp(matrix - shift[:, None]), axis=1)
-    )
 
 
 def partial_wasserstein(

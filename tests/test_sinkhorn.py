@@ -126,10 +126,11 @@ def _reference_kernel_fast(log_kernel, mu, nu, max_iter=50, tol=0.0):
     """Straightforward serial loop: the bitwise anchor for the
     buffer-reusing implementation.
 
-    Pins only the loop restructuring (reused matvec buffers, recycled
-    convergence-check products) — the subnormal flush is a documented
-    semantic change shared with this reference, not covered by the
-    pin (see DESIGN.md, "Bitwise policy")."""
+    Pins the loop restructuring (reused matvec buffers, recycled
+    convergence-check products) and the skipped exponentials (this
+    reference exponentiates every entry) — the subnormal flush is a
+    documented semantic change shared with this reference, not covered
+    by the pin (see DESIGN.md, "Bitwise policy")."""
     log_k = np.asarray(log_kernel, dtype=np.float64)
     row_max = log_k.max(axis=1, keepdims=True)
     kernel = np.exp(log_k - row_max)
@@ -150,8 +151,10 @@ def _reference_kernel_fast(log_kernel, mu, nu, max_iter=50, tol=0.0):
     u = mu / np.maximum(kernel @ v, tiny)
     plan = u[:, None] * kernel * v[None, :]
     plan[plan < _SUBNORMAL_FLUSH] = 0.0
-    err = float(np.abs(plan.sum(axis=1) - mu).sum())
-    return SinkhornResult(plan, iteration, err, converged or (tol > 0 and err < tol))
+    # the closing u-update makes the rows exact: report the columns,
+    # and converge only through the in-loop tolerance check
+    err = float(np.abs(plan.sum(axis=0) - nu).sum())
+    return SinkhornResult(plan, iteration, err, converged)
 
 
 class TestKernelFastBitwise:
@@ -192,6 +195,34 @@ class TestKernelFastBitwise:
         tiny_entries = (result.plan > 0) & (result.plan < _SUBNORMAL_FLUSH)
         assert not tiny_entries.any()
         np.testing.assert_allclose(result.plan.sum(axis=1), mu, atol=1e-12)
+
+    def test_capped_call_reports_not_converged(self):
+        """A call that exhausts ``max_iter`` is not converged, and its
+        error is the column violation the closing row update leaves."""
+        rng = np.random.default_rng(5)
+        log_kernel = rng.standard_normal((30, 25)) * 40.0
+        mu = np.full(30, 1.0 / 30)
+        nu = np.full(25, 1.0 / 25)
+        result = sinkhorn_log_kernel_fast(
+            log_kernel, mu, nu, max_iter=10, tol=1e-9
+        )
+        assert result.n_iterations == 10
+        assert not result.converged
+        # rows are exact, so the row error alone would look converged
+        assert np.abs(result.plan.sum(axis=1) - mu).sum() < 1e-9
+        column_error = np.abs(result.plan.sum(axis=0) - nu).sum()
+        assert result.marginal_error == column_error
+        assert result.marginal_error > 1e-9
+
+    def test_converged_call_stops_early(self):
+        _, mu, nu = random_problem(6, 7, seed=8)
+        log_kernel = np.zeros((6, 7))
+        result = sinkhorn_log_kernel_fast(
+            log_kernel, mu, nu, max_iter=100, tol=1e-9
+        )
+        assert result.converged
+        assert result.n_iterations < 100
+        assert result.marginal_error < 1e-9
 
 
 class TestTransportCost:
