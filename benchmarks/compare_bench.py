@@ -13,10 +13,8 @@ The gate fails (exit 1) when
   individual backend did, both normalised by each side's
   ``reference_seconds`` machine calibration,
 * the ``precision`` section is missing, its within-run float32
-  ``pi_update`` speedup fell below ``--min-f32-speedup``, a parity
-  pair's Hit@1 drifted past the tolerance recorded in the JSON, or
-  ``threaded-restart`` (float64) stopped being bitwise the serial
-  portfolio,
+  ``pi_update`` speedup fell below ``--min-f32-speedup``, or a parity
+  pair's Hit@1 drifted past the tolerance recorded in the JSON,
 * the serving bench (``BENCH_serve.json``) lost its invariants (zero
   cache hit rate, no coalescing, a bitwise divergence from the direct
   engine) or its calibrated pairs/sec regressed past the slowdown
@@ -105,15 +103,6 @@ def check_solver(baseline_dir: Path, current_dir: Path, max_slowdown: float):
             f"committed {base_value:.3f}{unit} (> {max_slowdown:.0%} slowdown)"
         )
     backends = fresh.get("backend_fit_seconds", {})
-    serial = backends.get("fused-dense")
-    batched = backends.get("batched-restart")
-    if serial is not None and batched is not None:
-        ratio = serial / batched if batched else float("inf")
-        print(f"batched-restart speedup over fused-dense: {ratio:.2f}x")
-        if batched > serial:
-            # informational: timing on shared runners is noisy, and the
-            # backends are bitwise-equal, so this is not a correctness gate
-            print("warning: batched-restart slower than fused-dense this run")
     # per-backend regression gate, normalised by each side's machine
     # reference exactly like the headline fit gate — a backend can
     # regress while the headline (which only times the default path)
@@ -139,21 +128,17 @@ def check_solver(baseline_dir: Path, current_dir: Path, max_slowdown: float):
 
 
 def check_precision(current_dir: Path, min_speedup: float = 1.05):
-    """Yield failure messages for the precision/threading sections.
+    """Yield failure messages for the precision section.
 
-    Both gates are *within-run* invariants of the fresh
+    The gates are *within-run* invariants of the fresh
     ``BENCH_solver.json`` — the float64 reference and the float32 solve
     are timed back to back on the same box, so their ratio needs no
-    machine-reference normalisation:
-
-    * the ``precision`` section must exist, its ``pi_update_speedup``
-      must clear ``min_speedup`` (the float32 path must keep paying
-      for itself; DESIGN.md, "Measured, gated", says how the floor
-      leaves headroom for shared-runner noise), and every parity
-      pair's Hit@1 delta must sit within the tolerance the benchmark
-      wrote into the JSON;
-    * the ``threading`` section must exist and its float64 mode must
-      have been bitwise-equal to the serial portfolio.
+    machine-reference normalisation: the ``precision`` section must
+    exist, its ``pi_update_speedup`` must clear ``min_speedup`` (the
+    float32 path must keep paying for itself; DESIGN.md, "Measured,
+    gated", says how the floor leaves headroom for shared-runner
+    noise), and every parity pair's Hit@1 delta must sit within the
+    tolerance the benchmark wrote into the JSON.
     """
     fresh = load(current_dir / "BENCH_solver.json")
     if fresh is None:
@@ -197,23 +182,6 @@ def check_precision(current_dir: Path, min_speedup: float = 1.05):
                     f"drifted {delta:.2f} points from float64 "
                     f"(tolerance {tolerance})"
                 )
-    threading = fresh.get("threading")
-    if not isinstance(threading, dict):
-        yield (
-            "BENCH_solver.json has no threading section "
-            "(threading bench did not run)"
-        )
-        return
-    print(
-        f"threading: {threading.get('workers')} worker(s) on "
-        f"{threading.get('cpus')} cpu(s), "
-        f"speedup {threading.get('speedup_vs_serial', 0.0):.2f}x"
-    )
-    if threading.get("bitwise_equal_serial") is not True:
-        yield (
-            "threaded-restart (float64) diverged bitwise from the serial "
-            "portfolio"
-        )
 
 
 def check_serve(baseline_dir: Path, current_dir: Path, max_slowdown: float):

@@ -4,8 +4,7 @@ Not a paper artefact per se, but underpins the runtime column of
 Fig. 7 / Table II: times the Sinkhorn projections, one GW proximal
 sweep and a full ``SLOTAlign.fit`` at a fixed problem size, checks the
 fast kernel-domain projection agrees with the log-domain reference,
-compares the engine's solver backends (asserting the batched portfolio
-is bitwise-equal to the serial one while it races it), and emits
+times ``fused-dense`` at both precisions, and emits
 ``BENCH_solver.json`` (per-phase solver timings plus per-backend fit
 times) into ``$REPRO_BENCH_DIR`` so the performance trajectory is
 machine-readable across PRs — ``benchmarks/compare_bench.py`` fails CI
@@ -35,9 +34,10 @@ BENCH_JSON = bench_path("BENCH_solver.json")
 def _merge_into_bench(new_keys: dict) -> None:
     """Merge keys into ``BENCH_solver.json`` without dropping cohorts.
 
-    Two tests write the artefact (the solver fit and the decode/dedup
-    timings); each asserts only its own keys over whatever the other
-    already recorded, the ``BENCH_fidelity.json`` discipline.
+    Three tests write the artefact (the solver fit, the decode timings
+    and the precision section); each asserts only its own keys over
+    whatever the others already recorded, the ``BENCH_fidelity.json``
+    discipline.
     """
     payload = {}
     if BENCH_JSON.exists():
@@ -153,25 +153,16 @@ def test_bench_slotalign_fit(benchmark):
     assert np.all(np.isfinite(result.plan))
     assert result.plan.shape == (pair.source.n_nodes, pair.target.n_nodes)
 
-    # solver-backend comparison: the batched portfolio must match the
-    # serial loop bit for bit while amortising its restarts into
-    # stacked GEMMs; three timed repeats, min taken (single-core box —
-    # any background process doubles a lone measurement)
-    backend_seconds = {}
-    backend_plans = {}
-    for backend in ("fused-dense", "batched-restart"):
-        best = float("inf")
-        for _ in range(3):
-            engine = AlignmentEngine(cfg, backend=backend, cache=None)
-            t0 = time.perf_counter()
-            out = engine.align(pair.source, pair.target)
-            best = min(best, time.perf_counter() - t0)
-        backend_seconds[backend] = best
-        backend_plans[backend] = out.plan
-    np.testing.assert_array_equal(
-        backend_plans["fused-dense"], backend_plans["batched-restart"],
-        err_msg="batched-restart diverged from the serial portfolio",
-    )
+    # per-backend engine timing: three timed repeats, min taken
+    # (single-core box — any background process doubles a lone
+    # measurement)
+    best = float("inf")
+    for _ in range(3):
+        engine = AlignmentEngine(cfg, backend="fused-dense", cache=None)
+        t0 = time.perf_counter()
+        engine.align(pair.source, pair.target)
+        best = min(best, time.perf_counter() - t0)
+    backend_seconds = {"fused-dense": best}
 
     timings = result.extras["phase_timings"]
     portfolio = result.extras["portfolio"]
@@ -185,10 +176,6 @@ def test_bench_slotalign_fit(benchmark):
         "fit_seconds": result.runtime,
         "reference_seconds": _machine_reference_seconds(),
         "backend_fit_seconds": backend_seconds,
-        "batched_speedup": (
-            backend_seconds["fused-dense"]
-            / backend_seconds["batched-restart"]
-        ),
         "phases": {
             "basis_build": timings["basis_build"],
             "alpha_update": timings["alpha_update"],
@@ -207,14 +194,12 @@ def test_bench_slotalign_fit(benchmark):
     assert BENCH_JSON.exists()
 
 
-def test_bench_decode_and_dedup(benchmark):
-    """Decode-stage and dedup-backend timings; extends ``BENCH_solver.json``.
+def test_bench_decode(benchmark):
+    """Decode-stage timings; extends ``BENCH_solver.json``.
 
     One solve of the bench problem feeds every registered decoder (the
     stage-3 cost is the entire marginal price of a better matching —
-    it must stay orders of magnitude below the solve), and the dedup
-    backends are timed against their dedup-off twins, recording merge
-    counts and freed iteration budget.
+    it must stay orders of magnitude below the solve).
     """
     from repro.engine import available_decoders, get_decoder
 
@@ -239,55 +224,25 @@ def test_bench_decode_and_dedup(benchmark):
         # decoding must be a rounding error next to the solve it reuses
         assert decoded.decode_seconds < max(solve_seconds, 0.05)
 
-    dedup = {}
-    for base_name, dedup_name in (
-        ("fused-dense", "fused-dense-dedup"),
-        ("batched-restart", "batched-dedup"),
-    ):
-        times = {}
-        extras = None
-        for backend in (base_name, dedup_name):
-            t0 = time.perf_counter()
-            out = AlignmentEngine(cfg, backend=backend, cache=None).align(
-                pair.source, pair.target
-            )
-            times[backend] = time.perf_counter() - t0
-            if backend == dedup_name:
-                extras = out.extras.get("dedup", {})
-        dedup[dedup_name] = {
-            "fit_seconds": times[dedup_name],
-            "base_fit_seconds": times[base_name],
-            "merges": len(extras.get("merges", [])),
-            "freed_iterations": extras.get("freed_iterations", 0),
-            "extension": extras.get("extension", 0),
-            "tolerance": extras.get("tolerance"),
-        }
-
-    _merge_into_bench(
-        {"decode_seconds": decode_seconds, "dedup": dedup}
-    )
+    _merge_into_bench({"decode_seconds": decode_seconds})
     assert BENCH_JSON.exists()
 
 
-def test_bench_precision_and_threading(benchmark, bench_scale):
-    """Float32 fast path and threaded restarts; extends ``BENCH_solver.json``.
+def test_bench_precision(benchmark, bench_scale):
+    """Float32 fast path; extends ``BENCH_solver.json``.
 
-    The ``precision`` section times the float64 serial reference
-    against the backend ``precision="float32"`` routes to
-    (``batched-f32``) on the bench problem — min of three repeats each
-    side, so the recorded ``pi_update_speedup`` is a within-run ratio
-    the CI gate (``compare_bench.check_precision``) can compare
-    machine-neutrally — and records Hit@1/MRR parity between the two
-    precisions on every decoder-cohort bench pair, with the documented
-    tolerance written into the JSON.  The ``threading`` section times
-    ``threaded-restart`` and asserts its float64 mode is bitwise the
-    serial portfolio (on any core count).
+    The ``precision`` section times ``fused-dense`` at float64 against
+    ``fused-dense`` at float32 on the bench problem — min of three
+    repeats each side, so the recorded ``pi_update_speedup`` is a
+    within-run ratio the CI gate (``compare_bench.check_precision``)
+    can compare machine-neutrally — and records Hit@1/MRR parity
+    between the two precisions on every decoder-cohort bench pair, with
+    the documented tolerance written into the JSON.
     """
     from repro.datasets import load_graph_dataset
     from repro.engine.precision import HIT1_PARITY_POINTS
     from repro.eval.metrics import evaluate_decoded
     from repro.experiments.decoders import PAIRS, pair_name
-    from repro.scale.executor import available_cpus
 
     pair = _solver_problem()
     cfg = SLOTAlignConfig(
@@ -314,7 +269,7 @@ def test_bench_precision_and_threading(benchmark, bench_scale):
         timed_align, args=("float32",), iterations=1, rounds=1
     )
     assert f64_out.extras["backend"] == "fused-dense"
-    assert f32_out.extras["backend"] == "batched-f32"
+    assert f32_out.extras["backend"] == "fused-dense"
     assert f32_out.extras["precision"] == "float32"
     assert np.all(np.isfinite(f32_out.plan))
     assert f32_out.plan.dtype == np.float64  # outcomes are re-cast
@@ -362,23 +317,6 @@ def test_bench_precision_and_threading(benchmark, bench_scale):
             "hit1_delta": hit1_delta,
         }
 
-    # threaded-restart: float64 mode must be bitwise the serial
-    # portfolio regardless of core count; timing is informational on
-    # boxes without real parallelism
-    cpus = available_cpus()
-    best_threaded = float("inf")
-    for _ in range(3):
-        engine = AlignmentEngine(
-            cfg, backend="threaded-restart", cache=None
-        )
-        t0 = time.perf_counter()
-        threaded_out = engine.align(pair.source, pair.target)
-        best_threaded = min(best_threaded, time.perf_counter() - t0)
-    bitwise_equal = bool(
-        np.array_equal(threaded_out.plan, f64_out.plan)
-    )
-    assert bitwise_equal, "threaded-restart diverged from fused-dense"
-
     _merge_into_bench({
         "precision": {
             "hit1_tolerance": HIT1_PARITY_POINTS,
@@ -396,13 +334,6 @@ def test_bench_precision_and_threading(benchmark, bench_scale):
             "pi_update_speedup": f64_pi / f32_pi,
             "parity": parity,
             "max_hit1_delta": max_hit1_delta,
-        },
-        "threading": {
-            "cpus": cpus,
-            "workers": threaded_out.extras["threading"]["workers"],
-            "fit_seconds": best_threaded,
-            "speedup_vs_serial": f64_fit / best_threaded,
-            "bitwise_equal_serial": bitwise_equal,
         },
     })
     assert BENCH_JSON.exists()

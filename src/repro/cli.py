@@ -57,7 +57,7 @@ from repro.engine import (
     AlignmentEngine,
     available_backends,
     available_decoders,
-    backend_kind,
+    ensure_backend_precision,
     ensure_decoder,
     ensure_dense_backend,
 )
@@ -91,7 +91,9 @@ def _slot_config(args) -> SLOTAlignConfig:
 ALIGNER_FACTORIES = {
     "slotalign": lambda args: SLOTAlign(
         _slot_config(args),
-        backend=_resolve_backend(args.backend, dense_only=True),
+        backend=_resolve_backend(
+            args.backend, dense_only=True, precision=args.precision
+        ),
         precision=args.precision,
     ),
     "partitioned": lambda args: DivideAndConquerAligner(
@@ -120,20 +122,21 @@ def _resolve_method(name: str):
     return factory
 
 
-def _resolve_backend(name: str, dense_only: bool = False) -> str:
+def _resolve_backend(
+    name: str, dense_only: bool = False, precision: str = "float64"
+) -> str:
     """Validate a solver-backend name against the engine registry.
 
     ``dense_only`` additionally rejects backends that return sparse
     results (the SLOTAlign-shaped methods consume dense plans; the
     sparse pipeline is reachable via ``--method partitioned`` or
-    ``engine --backend sparse``).  Validation goes through
-    ``backend_kind`` so no backend instance is constructed.
+    ``engine --backend sparse``), and ``precision`` must be one the
+    backend solves at.  No backend instance is constructed.
     """
     try:
         if dense_only:
             ensure_dense_backend(name, "this method")
-        else:
-            backend_kind(name)
+        ensure_backend_precision(name, precision)
     except ConfigError as exc:
         raise SystemExit(str(exc)) from exc
     return name
@@ -198,8 +201,8 @@ def _add_solver_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--precision", choices=("float64", "float32"), default="float64",
-        help="solve-stage working precision; float32 routes to the "
-        "reduced-precision fast backends (decisions stay float64)",
+        help="solve-stage working precision; float32 steps fused-dense "
+        "in reduced precision (decisions stay float64)",
     )
     # partitioned-pipeline knobs (method "partitioned" / backend "sparse")
     parser.add_argument(
@@ -471,7 +474,7 @@ def _run_engine(args) -> int:
         )
     if args.partial:
         return _run_engine_partial(args)
-    backend = _resolve_backend(args.backend)
+    backend = _resolve_backend(args.backend, precision=args.precision)
     decoder = _resolve_decoder(args.decoder)
     pair = _build_pair(args)
     backend_options = {}

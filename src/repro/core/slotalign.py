@@ -17,9 +17,9 @@ plan → solve → evaluate pipeline.  The practical solver devices —
 pruning, tied structure weights — are documented on
 :class:`repro.core.config.SLOTAlignConfig` and implemented in
 :mod:`repro.engine.restarts`; the solver *backends* (the reference
-serial ``fused-dense`` loop and the bitwise-identical stacked
-``batched-restart`` portfolio) are registered in
-:mod:`repro.engine.backends` and selectable per aligner.
+``fused-dense`` portfolio and the partial-overlap portfolios) are
+registered in :mod:`repro.engine.backends` and selectable per
+aligner.
 """
 
 from __future__ import annotations
@@ -43,13 +43,12 @@ class SLOTAlign:
     config:
         Hyperparameters of Algorithm 1.
     backend:
-        Solver backend name from the engine registry (default
-        ``"fused-dense"``; ``"batched-restart"`` runs the identical
-        portfolio as one stacked-tensor solve).
+        Dense solver backend name from the engine registry (default
+        ``"fused-dense"``).
     precision:
         Solve-stage working precision, ``"float64"`` (default) or
-        ``"float32"`` — the float32 fast path routes to the
-        reduced-precision backends (see :mod:`repro.engine.precision`).
+        ``"float32"`` — ``fused-dense``'s reduced-precision fast path
+        (see :mod:`repro.engine.precision`).
 
     Example
     -------

@@ -5,9 +5,9 @@ Every alignment in the library decomposes into four explicit stages:
 1. **plan** (:mod:`repro.engine.planning`) — multi-view base
    construction behind a content-keyed cache, the marginals and the
    initial coupling;
-2. **solve** (:mod:`repro.engine.backends`) — a registry of solver
-   backends: the reference serial ``fused-dense`` portfolio, the
-   bitwise-equal stacked ``batched-restart`` portfolio, and the
+2. **solve** (:mod:`repro.engine.backends`) — a registry of four
+   solver backends: the ``fused-dense`` restart portfolio (float64
+   reference or float32), the two ``partial-*`` portfolios, and the
    ``sparse`` divide-and-conquer pipeline;
 3. **decode** (:mod:`repro.engine.decode`) — a registry of plan
    decoders (``row-argmax`` / ``mutual-argmax`` / ``hungarian`` /
@@ -36,6 +36,7 @@ from repro.engine.backends import (
     available_backends,
     backend_kind,
     dense_backends,
+    ensure_backend_precision,
     ensure_classical_problem,
     ensure_dense_backend,
     get_backend,
@@ -60,7 +61,6 @@ from repro.engine.precision import (
     FLOAT64,
     PRECISIONS,
     SolverPrecision,
-    backend_for_precision,
     ensure_precision,
 )
 
@@ -75,7 +75,6 @@ __all__ = [
     "FLOAT64",
     "PRECISIONS",
     "SolverPrecision",
-    "backend_for_precision",
     "ensure_precision",
     "coalescible",
     "solve_coalesced",
@@ -87,6 +86,7 @@ __all__ = [
     "backend_kind",
     "decode_plan",
     "dense_backends",
+    "ensure_backend_precision",
     "ensure_classical_problem",
     "ensure_decoder",
     "ensure_dense_backend",

@@ -3,12 +3,14 @@
 A solver backend consumes a :class:`~repro.engine.planning.PreparedProblem`
 and returns a result object carrying a plan:
 
-* ``fused-dense`` — the reference serial restart portfolio over the
-  fused contraction engine (:class:`repro.core.objective.JointObjective`);
-  every other backend is defined against its output.
-* ``batched-restart`` — the same portfolio executed in lockstep with
-  the restarts stacked into ``(R, n, m)`` tensors, bit-for-bit equal
-  to the serial loop (see :mod:`repro.engine.batched`).
+* ``fused-dense`` — the restart portfolio over the fused contraction
+  engine (:class:`repro.core.objective.JointObjective`).  At the
+  default ``precision="float64"`` it is the reference serial solver
+  every other path is defined against; ``precision="float32"`` steps
+  the same portfolio in float32 against a preallocated workspace
+  (:mod:`repro.engine.mixed`).
+* ``partial-dummy`` / ``partial-unbalanced`` — the partial-overlap
+  portfolios of :mod:`repro.engine.partial`.
 * ``sparse`` — the divide-and-conquer pipeline of :mod:`repro.scale`:
   partition, per-block dense solves (each routed back through this
   engine), sparse stitching and boundary repair.  Returns a
@@ -17,19 +19,27 @@ and returns a result object carrying a plan:
 Backends register under a name via :func:`register_backend`; unknown
 names fail with an error that lists the valid choices (never a bare
 ``KeyError``), so CLI/runner validation can surface the registry
-verbatim.
+verbatim.  A backend class lists the working precisions it solves at
+in ``precisions`` (float64 only when absent); asking a backend for a
+precision it lacks fails the same choice-naming way.
 """
 
 from __future__ import annotations
 
-from repro.core.objective import JointObjective
+from repro.engine.mixed import _MixedLockstep
 from repro.engine.planning import PreparedProblem
+from repro.engine.precision import (
+    DEFAULT_PRECISION,
+    FLOAT32,
+    FLOAT64,
+    SolverPrecision,
+    ensure_precision,
+)
 from repro.engine.restarts import (
-    DEDUP_TOL_START,
     portfolio_phase_timings,
     portfolio_result,
+    problem_runs,
     run_portfolio,
-    run_portfolio_dedup,
 )
 from repro.exceptions import ConfigError
 from repro.utils.timer import Timer
@@ -64,14 +74,46 @@ def _lookup(name: str) -> tuple[type, str]:
     return entry
 
 
-def get_backend(name: str, **options):
+def _precisions(backend_cls: type) -> tuple[str, ...]:
+    return getattr(backend_cls, "precisions", (DEFAULT_PRECISION,))
+
+
+def ensure_backend_precision(name: str, precision: str | SolverPrecision) -> str:
+    """Validate that backend ``name`` solves at ``precision``.
+
+    Returns the precision's name.  Unknown backends and precisions fail
+    as :func:`get_backend` and :func:`ensure_precision` do; a backend
+    without the requested precision fails naming the backends that have
+    it, so the engine, the service and the CLI all surface one message.
+    """
+    resolved = ensure_precision(precision).name
+    if resolved not in _precisions(_lookup(name)[0]):
+        choices = ", ".join(
+            other for other, (cls, _) in sorted(_REGISTRY.items())
+            if resolved in _precisions(cls)
+        )
+        raise ConfigError(
+            f"backend {name!r} has no {resolved} variant; "
+            f"backends with one: {choices}"
+        )
+    return resolved
+
+
+def get_backend(
+    name: str, precision: str | SolverPrecision = DEFAULT_PRECISION, **options
+):
     """Instantiate the backend registered under ``name``.
 
     Raises :class:`ConfigError` naming the valid choices when the
-    backend is unknown — callers (CLI, experiment runner) surface this
-    message directly instead of a bare ``KeyError``.
+    backend is unknown, or lacks ``precision`` — callers (CLI,
+    experiment runner, service) surface this message directly instead
+    of a bare ``KeyError``.  A non-default precision is handed to the
+    backend as its ``precision`` option.
     """
     backend_cls, _ = _lookup(name)
+    resolved = ensure_backend_precision(name, precision)
+    if resolved != DEFAULT_PRECISION:
+        options["precision"] = resolved
     return backend_cls(**options)
 
 
@@ -140,93 +182,46 @@ def ensure_classical_problem(problem: PreparedProblem, backend_name: str) -> Non
 
 
 class FusedDenseBackend:
-    """Reference serial restart portfolio (the pre-engine solver).
+    """The restart portfolio over the fused dense contraction engine.
 
-    The loop is a faithful move of the original ``SLOTAlign.fit``
-    body: restart construction, successive-halving checkpoints and the
-    final full-budget advance are unchanged, so this backend's output
-    is bit-for-bit the historical solver's (pinned by the trajectory
-    golden in ``tests/test_goldens.py``).
+    At ``precision="float64"`` the loop is a faithful move of the
+    original ``SLOTAlign.fit`` body: restart construction,
+    successive-halving checkpoints and the final full-budget advance
+    are unchanged, so the output is bit-for-bit the historical
+    solver's (pinned by the trajectory golden in
+    ``tests/test_goldens.py``).  At ``precision="float32"`` the same
+    portfolio is stepped in lockstep through the float32 workspace step;
+    decisions and the returned plan stay float64, and the result
+    carries ``extras["precision"]``.
     """
 
     name = "fused-dense"
     kind = "dense"
+    precisions = (FLOAT64.name, FLOAT32.name)
+
+    def __init__(self, precision: str | SolverPrecision = DEFAULT_PRECISION):
+        self.precision = ensure_precision(precision)
 
     def solve(self, problem: PreparedProblem):
         cfg = problem.config
         ensure_classical_problem(problem, self.name)
+        reference = self.precision.name == DEFAULT_PRECISION
         with Timer() as timer:
-            source_bases, target_bases = problem.bases
-            k = len(source_bases)
-            objective = JointObjective(
-                source_bases, target_bases, fused=cfg.fused_contractions
-            )
-            mu, nu = problem.marginals()
-            plan0, informative_init = problem.initial_coupling(mu, nu)
-            runs, outcomes, best, checkpoints = run_portfolio(
-                objective, cfg, plan0, mu, nu, informative_init
-            )
-        return portfolio_result(
-            self.name, outcomes, best, k, checkpoints,
-            portfolio_phase_timings(runs, problem.basis_seconds),
-            runtime=timer.elapsed,
-        )
-
-
-class FusedDenseDedupBackend(FusedDenseBackend):
-    """Serial portfolio with restart-trajectory dedup.
-
-    Same restarts, same pruning checkpoints as ``fused-dense``, plus
-    :func:`~repro.engine.restarts.dedup_schedule` checkpoints where
-    restarts whose couplings have converged onto an earlier restart's
-    (within the :func:`~repro.engine.restarts.dedup_tolerance`
-    schedule, decaying from ``dedup_tol_start`` to the ``dedup_tol``
-    floor) are dropped and their remaining iteration budget is split
-    among the survivors — on the solver bench the clone cluster
-    (uniform/node/node-frozen) plateaus near relative distance 1e-3,
-    which the old fixed 1e-5 never caught.  A merge changes which
-    trajectories run (and lets survivors exceed ``max_outer_iter``),
-    so per the registry's never-silently-replace rule this is a new
-    name; with no merge firing the output is bit-for-bit
-    ``fused-dense``.
-    """
-
-    name = "fused-dense-dedup"
-    kind = "dense"
-
-    def __init__(
-        self,
-        dedup_tol: float = 1e-5,
-        dedup_interval: int | None = None,
-        dedup_tol_start: float = DEDUP_TOL_START,
-    ):
-        self.dedup_tol = dedup_tol
-        self.dedup_interval = dedup_interval
-        self.dedup_tol_start = dedup_tol_start
-
-    def solve(self, problem: PreparedProblem):
-        cfg = problem.config
-        ensure_classical_problem(problem, self.name)
-        with Timer() as timer:
-            source_bases, target_bases = problem.bases
-            k = len(source_bases)
-            objective = JointObjective(
-                source_bases, target_bases, fused=cfg.fused_contractions
-            )
-            mu, nu = problem.marginals()
-            plan0, informative_init = problem.initial_coupling(mu, nu)
-            runs, outcomes, best, checkpoints, dedup_info = run_portfolio_dedup(
-                objective, cfg, plan0, mu, nu, informative_init,
-                dedup_tol=self.dedup_tol,
-                dedup_interval=self.dedup_interval,
-                dedup_tol_start=self.dedup_tol_start,
-            )
+            runs = problem_runs(problem, self.precision.dtype)
+            step_all = None
+            if not reference:
+                step_all = _MixedLockstep(
+                    cfg, runs[0].mu, runs[0].nu, capacity=len(runs),
+                    precision=self.precision,
+                )._step_all
+            [(outcomes, checkpoints)] = run_portfolio([runs], cfg, step_all)
         result = portfolio_result(
-            self.name, outcomes, best, k, checkpoints,
+            self.name, outcomes, checkpoints, runs[0].k,
             portfolio_phase_timings(runs, problem.basis_seconds),
             runtime=timer.elapsed,
         )
-        result.extras["dedup"] = dedup_info
+        if not reference:
+            result.extras["precision"] = self.precision.name
         return result
 
 
@@ -282,57 +277,18 @@ class SparsePartitionBackend:
 
 
 def _register_builtin_backends() -> None:
-    # imported here so the registry owns the import-order: batched.py
-    # and partial.py import this module for register_backend
-    from repro.engine.batched import BatchedDedupBackend, BatchedRestartBackend
-    from repro.engine.mixed import BatchedF32Backend, FusedDenseF32Backend
+    # imported here so the registry owns the import-order: partial.py
+    # imports this module for FusedDenseBackend
     from repro.engine.partial import (
         PartialDummyBackend,
         PartialUnbalancedBackend,
     )
-    from repro.engine.threaded import ThreadedRestartBackend
 
     register_backend(
         FusedDenseBackend.name,
         FusedDenseBackend,
-        "serial restart portfolio over the fused dense contraction engine "
-        "(reference implementation)",
-    )
-    register_backend(
-        BatchedRestartBackend.name,
-        BatchedRestartBackend,
-        "multi-start portfolio as one stacked-tensor lockstep solve, "
-        "bitwise-equal to fused-dense",
-    )
-    register_backend(
-        FusedDenseDedupBackend.name,
-        FusedDenseDedupBackend,
-        "fused-dense with restart-trajectory dedup: converged-identical "
-        "restarts merge and bequeath their iteration budget",
-    )
-    register_backend(
-        BatchedDedupBackend.name,
-        BatchedDedupBackend,
-        "batched-restart with restart-trajectory dedup, merge-for-merge "
-        "equal to fused-dense-dedup",
-    )
-    register_backend(
-        FusedDenseF32Backend.name,
-        FusedDenseF32Backend,
-        "serial restart portfolio stepped in float32 against a "
-        "preallocated workspace; decisions re-evaluated in float64",
-    )
-    register_backend(
-        BatchedF32Backend.name,
-        BatchedF32Backend,
-        "lockstep-batched float32 portfolio, bitwise-equal to "
-        "fused-dense-f32",
-    )
-    register_backend(
-        ThreadedRestartBackend.name,
-        ThreadedRestartBackend,
-        "restart portfolio fanned across a shared-memory thread pool; "
-        "bitwise-equal to the serial backend at either precision",
+        "restart portfolio over the fused dense contraction engine; "
+        "float64 reference, or float32 via precision",
     )
     register_backend(
         SparsePartitionBackend.name,

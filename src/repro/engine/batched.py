@@ -1,21 +1,22 @@
-"""The ``batched-restart`` solver backend: one stacked-tensor portfolio.
+"""The float64 stacked step: one lockstep over many restarts.
 
-The serial portfolio advances each restart in turn; on every outer
+The serial step advances each restart in turn; on every outer
 iteration each restart runs the same tensor program (α-gradient,
 simplex projection, π-gradient, KL-proximal Sinkhorn projection) on
-its own ``(n, m)`` iterate.  This backend advances **all live restarts
-in lockstep**, stacking their iterates into ``(R, n, m)`` tensors so
-each per-iteration contraction becomes one batched matmul instead of R
-dispatches — on small problems (where BLAS call overhead rivals the
-GEMM itself) that amortisation is the Fig. 7-regime win recorded in
-``BENCH_solver.json``.
+its own ``(n, m)`` iterate.  :class:`_LockstepPortfolio` advances **all
+live restarts in lockstep**, stacking their iterates into ``(R, n, m)``
+tensors so each per-iteration contraction becomes one batched matmul
+instead of R dispatches.  It serves only the coalesced multi-pair
+solve (:func:`repro.engine.coalesce.solve_coalesced`): measured against
+the serial step, the stacked one loses on single pairs and on
+coalesced serving batches alike (DESIGN.md, "Solve paths").
 
 Bitwise contract
 ----------------
 Every restart's iterate sequence is **bit-for-bit identical** to the
-serial ``fused-dense`` backend's, because every batched operation used
-here is bitwise-equal to its per-slice serial counterpart on the
-supported BLAS configurations:
+serial step's (:meth:`repro.engine.restarts.RestartRun._step_once`),
+because every batched operation used here is bitwise-equal to its
+per-slice serial counterpart on the supported BLAS configurations:
 
 * batched ``matmul`` over a C-contiguous stack — including the
   transposed-view operands ``P.swapaxes(1, 2) @ D`` (transA) and
@@ -31,10 +32,10 @@ supported BLAS configurations:
   serial expressions.
 
 Restart lifecycles stay independent: a restart that converges or is
-pruned is compressed out of the stack (sliced copies are exact) and
-the survivors' trajectories are unaffected — exactly the property the
-serial scheduler has.  ``tests/test_batched_restart.py`` pins the
-whole contract across seeds, view counts and early-stopped restarts.
+pruned leaves the stack (sliced copies are exact) and the survivors'
+trajectories are unaffected.  ``tests/test_batched_restart.py`` pins
+the whole contract across seeds, view counts and early-stopped
+restarts.
 """
 
 from __future__ import annotations
@@ -43,75 +44,25 @@ import time
 
 import numpy as np
 
-from repro.core.convergence import IterateHistory
-from repro.core.objective import JointObjective
-from repro.engine.planning import PreparedProblem
-from repro.engine.restarts import (
-    DEDUP_TOL_START,
-    RunOutcome,
-    _apply_dedup,
-    build_starts,
-    dedup_schedule,
-    dedup_tolerance,
-    eta_schedule,
-    portfolio_result,
-    prune_schedule,
-    select_best,
-)
+from repro.engine.restarts import RestartRun, eta_schedule
 from repro.exceptions import ConvergenceError
 from repro.ot.simplex import project_concatenated_simplices
 from repro.ot.sinkhorn import sinkhorn_log_kernel_fast_batched
-from repro.utils.timer import Timer
 
-
-class _BatchedRun:
-    """One restart's state between lockstep iterations.
-
-    Each run carries its *own* :class:`JointObjective`: within one
-    pair every restart shares the objective instance, while the
-    coalesced multi-pair solve (:mod:`repro.engine.coalesce`) stacks
-    runs whose objectives belong to different graph pairs.  All
-    lockstep tensor work only ever touches a run's own slice, so the
-    composition of the batch never changes any run's iterates.
-    """
-
-    __slots__ = (
-        "label", "objective", "alpha", "plan", "history", "iteration",
-        "pruned", "pruned_at", "learn_weights", "elapsed",
-        "deduped", "merged_into",
-    )
-
-    def __init__(self, label, objective, beta0, learn_weights, plan0):
-        self.label = label
-        self.objective = objective
-        self.alpha = np.concatenate([beta0, beta0])
-        self.plan = plan0.copy()
-        self.history = IterateHistory()
-        self.iteration = 0
-        self.pruned = False
-        self.pruned_at = None
-        self.deduped = False
-        self.merged_into = None
-        self.learn_weights = learn_weights
-        self.elapsed = 0.0
-
-    @property
-    def finished(self) -> bool:
-        return self.history.converged
-
-    def prune(self) -> None:
-        self.pruned = True
-        self.pruned_at = self.iteration
+_BatchedRun = RestartRun
+"""The run state the pinned step bodies below are annotated with."""
 
 
 class _LockstepPortfolio:
-    """Advances a set of restarts iteration-by-iteration, batched.
+    """The float64 stacked stepper over :class:`RestartRun` objects.
 
-    The runs may share one objective (the within-pair portfolio) or
-    carry one objective each (the cross-pair coalesced solve); the
-    only requirements are a common ``(n, m)`` plan shape, common
-    marginals and a common config, so the stacked contractions and the
-    shared η schedule stay well-defined.
+    The runs may share one objective (one pair's portfolio) or carry
+    one objective each (the cross-pair coalesced solve); the only
+    requirements are a common ``(n, m)`` plan shape, common marginals
+    and a common config, so the stacked contractions and the shared η
+    schedule stay well-defined.  Phase timings are shared by the whole
+    stack and accumulate on the stepper; each run is charged an equal
+    share of the wall clock.
     """
 
     def __init__(self, config, mu, nu):
@@ -123,57 +74,7 @@ class _LockstepPortfolio:
         }
 
     # ------------------------------------------------------------------
-    def advance(
-        self,
-        runs: list[_BatchedRun],
-        target_iteration: int,
-        limit: int | None = None,
-    ) -> None:
-        """Step every live run to ``min(target, max_outer_iter)``.
-
-        ``limit`` overrides the config's outer-iteration cap — the
-        dedup backend passes its extended budget so survivors can
-        spend a merged clone's freed iterations.
-        """
-        cap = self.config.max_outer_iter if limit is None else limit
-        target = min(target_iteration, cap)
-        while True:
-            active = [
-                run for run in runs
-                if not run.pruned and not run.finished
-                and run.iteration < target
-            ]
-            if not active:
-                return
-            # lockstep invariant: the scheduler only ever advances the
-            # whole live set to a common checkpoint, so live runs share
-            # one iteration counter
-            self._step_all(active)
-
-    def current_objective(self, run: _BatchedRun) -> float:
-        t0 = time.perf_counter()
-        k = run.objective.n_bases
-        value = run.objective.value(
-            run.plan, run.alpha[:k], run.alpha[k:]
-        )
-        self.timings["objective_eval"] += time.perf_counter() - t0
-        return value
-
-    def outcome(self, run: _BatchedRun) -> RunOutcome:
-        return RunOutcome(
-            plan=run.plan,
-            alpha=run.alpha,
-            objective=self.current_objective(run),
-            history=run.history,
-            label=run.label,
-            pruned=run.pruned,
-            iterations=run.iteration,
-            deduped=run.deduped,
-            merged_into=run.merged_into,
-        )
-
-    # ------------------------------------------------------------------
-    def _combined_stacks(self, runs: list[_BatchedRun], alphas: list[np.ndarray]):
+    def _combined_stacks(self, runs: list[RestartRun], alphas: list[np.ndarray]):
         """Stacked ``(R, n, n)`` / ``(R, m, m)`` combined matrices.
 
         Each slice comes from the run's own ``JointObjective.combined``
@@ -348,190 +249,3 @@ class _LockstepPortfolio:
                 - 2.0 * float(cross_t[q])
             )
         return np.concatenate([grad_s, grad_t])
-
-
-class BatchedRestartBackend:
-    """Portfolio backend running every restart as one stacked solve."""
-
-    name = "batched-restart"
-    kind = "dense"
-
-    def solve(self, problem: PreparedProblem):
-        # imported here, not at module top: backends.py imports this
-        # module while registering the builtin backends
-        from repro.engine.backends import ensure_classical_problem
-
-        cfg = problem.config
-        ensure_classical_problem(problem, self.name)
-        with Timer() as timer:
-            source_bases, target_bases = problem.bases
-            k = len(source_bases)
-            objective = JointObjective(
-                source_bases, target_bases, fused=cfg.fused_contractions
-            )
-            mu, nu = problem.marginals()
-            plan0, informative_init = problem.initial_coupling(mu, nu)
-            starts = build_starts(cfg, k, informative_init)
-            runs = [
-                _BatchedRun(label, objective, beta0, learn, plan0)
-                for label, beta0, learn in starts
-            ]
-            lockstep = _LockstepPortfolio(cfg, mu, nu)
-            checkpoints = prune_schedule(cfg) if len(runs) > 1 else []
-            for checkpoint, margin in checkpoints:
-                lockstep.advance(runs, checkpoint)
-                contenders = {
-                    run.label: lockstep.current_objective(run)
-                    for run in runs
-                    if not run.pruned
-                }
-                leader = min(contenders.values())
-                for run in runs:
-                    if (
-                        not run.pruned
-                        and not run.finished
-                        and contenders[run.label] > leader + margin
-                    ):
-                        run.prune()
-            lockstep.advance(runs, cfg.max_outer_iter)
-
-            outcomes = [lockstep.outcome(run) for run in runs]
-            best = select_best(outcomes)
-        phase_timings = {
-            "basis_build": problem.basis_seconds,
-            "alpha_update": lockstep.timings["alpha_update"],
-            "pi_update": lockstep.timings["pi_update"],
-            "objective_eval": lockstep.timings["objective_eval"],
-            "per_restart": {run.label: run.elapsed for run in runs},
-        }
-        return portfolio_result(
-            self.name, outcomes, best, k, checkpoints, phase_timings,
-            runtime=timer.elapsed,
-        )
-
-
-class BatchedDedupBackend(BatchedRestartBackend):
-    """Lockstep portfolio with restart-trajectory dedup.
-
-    The same stacked-tensor solve as ``batched-restart``, with the
-    :func:`~repro.engine.restarts.dedup_schedule` checkpoints merged
-    into the pruning event stream: restarts whose couplings have
-    converged onto an earlier restart's (within ``dedup_tol`` relative
-    Frobenius distance) are dropped from the stack and their remaining
-    iteration budget is split among the survivors, which may then run
-    past ``max_outer_iter``.  A merge changes which trajectories exist,
-    so this is a separately-registered backend (the registry's
-    never-silently-replace rule); when no merge fires it is bit-for-bit
-    ``batched-restart`` — and, merge for merge, bit-for-bit the serial
-    ``fused-dense-dedup`` portfolio.
-    """
-
-    name = "batched-dedup"
-    kind = "dense"
-
-    def __init__(
-        self,
-        dedup_tol: float = 1e-5,
-        dedup_interval: int | None = None,
-        dedup_tol_start: float = DEDUP_TOL_START,
-    ):
-        self.dedup_tol = dedup_tol
-        self.dedup_interval = dedup_interval
-        self.dedup_tol_start = dedup_tol_start
-
-    def solve(self, problem: PreparedProblem):
-        from repro.engine.backends import ensure_classical_problem
-
-        cfg = problem.config
-        ensure_classical_problem(problem, self.name)
-        with Timer() as timer:
-            source_bases, target_bases = problem.bases
-            k = len(source_bases)
-            objective = JointObjective(
-                source_bases, target_bases, fused=cfg.fused_contractions
-            )
-            mu, nu = problem.marginals()
-            plan0, informative_init = problem.initial_coupling(mu, nu)
-            starts = build_starts(cfg, k, informative_init)
-            runs = [
-                _BatchedRun(label, objective, beta0, learn, plan0)
-                for label, beta0, learn in starts
-            ]
-            lockstep = _LockstepPortfolio(cfg, mu, nu)
-            checkpoints = prune_schedule(cfg) if len(runs) > 1 else []
-            dedup_points = (
-                dedup_schedule(cfg, self.dedup_interval) if len(runs) > 1 else []
-            )
-            # dedup fires before pruning at a shared iteration, exactly
-            # as in the serial run_portfolio_dedup event stream
-            events = sorted(
-                [(iteration, 0, None) for iteration in dedup_points]
-                + [(iteration, 1, margin) for iteration, margin in checkpoints]
-            )
-            tolerance_schedule = [
-                (
-                    iteration,
-                    dedup_tolerance(
-                        iteration, cfg.max_outer_iter,
-                        self.dedup_tol, self.dedup_tol_start,
-                    ),
-                )
-                for iteration in dedup_points
-            ]
-            tolerance_at = dict(tolerance_schedule)
-            merges: list[dict] = []
-            for iteration, kind, margin in events:
-                lockstep.advance(runs, iteration)
-                if kind == 0:
-                    merges.extend(
-                        _apply_dedup(
-                            runs, tolerance_at[iteration], cfg.max_outer_iter
-                        )
-                    )
-                    continue
-                contenders = {
-                    run.label: lockstep.current_objective(run)
-                    for run in runs
-                    if not run.pruned
-                }
-                leader = min(contenders.values())
-                for run in runs:
-                    if (
-                        not run.pruned
-                        and not run.finished
-                        and contenders[run.label] > leader + margin
-                    ):
-                        run.prune()
-            freed = sum(merge["freed"] for merge in merges)
-            survivors = [
-                run for run in runs if not run.pruned and not run.finished
-            ]
-            extension = 0
-            if freed and survivors:
-                extension = min(freed // len(survivors), cfg.max_outer_iter)
-            budget = cfg.max_outer_iter + extension
-            lockstep.advance(runs, budget, limit=budget)
-
-            outcomes = [lockstep.outcome(run) for run in runs]
-            best = select_best(outcomes)
-        phase_timings = {
-            "basis_build": problem.basis_seconds,
-            "alpha_update": lockstep.timings["alpha_update"],
-            "pi_update": lockstep.timings["pi_update"],
-            "objective_eval": lockstep.timings["objective_eval"],
-            "per_restart": {run.label: run.elapsed for run in runs},
-        }
-        result = portfolio_result(
-            self.name, outcomes, best, k, checkpoints, phase_timings,
-            runtime=timer.elapsed,
-        )
-        result.extras["dedup"] = {
-            "tolerance": self.dedup_tol,
-            "tolerance_start": self.dedup_tol_start,
-            "tolerance_schedule": tolerance_schedule,
-            "checkpoints": dedup_points,
-            "merges": merges,
-            "freed_iterations": freed,
-            "extension": extension,
-        }
-        return result

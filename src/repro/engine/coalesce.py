@@ -2,44 +2,43 @@
 
 The serving layer receives bursts of *independent* alignment requests
 whose problems are frequently tiny and identically shaped (same
-``(n, m)``, same config).  Solving them one by one repeats the
-``batched-restart`` story at a higher level: every per-iteration
-contraction is dispatched once per pair, and on small problems the
-BLAS call overhead rivals the GEMM itself.  :func:`solve_coalesced`
-stacks the restarts of **all** pairs into one lockstep batch — the
-``(B, n, m)`` generalisation of the within-pair ``(R, n, m)`` stack —
-so one outer iteration of Algorithm 1 advances every restart of every
-pair with single batched matmuls.
+``(n, m)``, same config).  :func:`solve_coalesced` puts the restarts
+of **all** pairs into one lockstep batch — the ``(B, n, m)``
+generalisation of one pair's ``(R, n, m)`` stack — so one outer
+iteration of Algorithm 1 advances every restart of every pair: float64
+batches through the stacked step of :mod:`repro.engine.batched`,
+float32 batches through the workspace step of :mod:`repro.engine.mixed`.
 
 Bitwise contract
 ----------------
-Each pair's result is **bit-for-bit** what a direct single-pair engine
-run produces, for the same reason the ``batched-restart`` backend is
-bitwise-equal to the serial portfolio: every lockstep operation either
-acts on a run's own contiguous slice with the exact serial expression,
-or is a batched matmul that calls the same per-slice GEMM kernels as
-the 2-D code.  A run's iterates therefore never depend on what else is
-in the batch; coalescing is pure scheduling.  Portfolio pruning is
-applied *within* each pair's restart group (never across pairs), with
-the same checkpoints and margins the single-pair scheduler uses.
+Each pair's result is **bit-for-bit** what a direct single-pair
+``fused-dense`` solve at the same precision produces: every lockstep
+operation either acts on a run's own contiguous slice with the exact
+serial expression, or is a batched matmul that calls the same
+per-slice GEMM kernels as the 2-D code.  A run's iterates therefore
+never depend on what else is in the batch; coalescing is pure
+scheduling.  Portfolio pruning is applied *within* each pair's restart
+group (never across pairs) by the one portfolio scheduler,
+:func:`repro.engine.restarts.run_portfolio`.
 
 Coalescibility (:func:`coalescible`) requires an identical config
 (shared η schedule, prune schedule and tolerances), identical plan
 shape (the stack and the shared uniform marginals), and a dense
-problem; pairs may differ in content, features and initial coupling.
+balanced problem; pairs may differ in content, features and initial
+coupling.
 """
 
 from __future__ import annotations
 
-from repro.core.objective import JointObjective
-from repro.engine.batched import _BatchedRun, _LockstepPortfolio
+from repro.engine.batched import _LockstepPortfolio
+from repro.engine.mixed import _MixedLockstep
 from repro.engine.planning import PreparedProblem
 from repro.engine.precision import DEFAULT_PRECISION, ensure_precision
 from repro.engine.restarts import (
-    build_starts,
+    portfolio_phase_timings,
     portfolio_result,
-    prune_schedule,
-    select_best,
+    problem_runs,
+    run_portfolio,
 )
 from repro.exceptions import ConfigError
 from repro.utils.timer import Timer
@@ -67,17 +66,18 @@ def solve_coalesced(problems: list[PreparedProblem], precision: str = DEFAULT_PR
 
     Returns one :class:`~repro.core.result.AlignmentResult` per input
     problem, in order, each bit-for-bit equal to a direct single-pair
-    solve of that problem **at the same precision** (see the module
-    docstring) — ``float32`` batches step through the mixed-precision
-    lockstep and match a single-pair ``batched-f32`` solve bit for
-    bit.  Problems solved at different precisions must never share a
-    batch (the serving layer keys admission on it).
+    ``fused-dense`` solve of that problem **at the same precision**
+    (see the module docstring).  Problems solved at different
+    precisions must never share a batch (the serving layer keys
+    admission on it).
+
+    Phase timings: a float64 batch reports the stacked step's shared
+    totals on every member; a float32 result carries ``precision`` and
+    its own pair's share.
     """
     if not problems:
         return []
     resolved = ensure_precision(precision)
-    if resolved.name != DEFAULT_PRECISION:
-        return _solve_coalesced_mixed(problems, resolved)
     cfg = problems[0].config
     for problem in problems[1:]:
         if not coalescible(problems[0], problem):
@@ -85,164 +85,38 @@ def solve_coalesced(problems: list[PreparedProblem], precision: str = DEFAULT_PR
                 "coalesced solve requires identical configs and plan "
                 "shapes across all problems"
             )
+    stacked = resolved.name == DEFAULT_PRECISION
     with Timer() as timer:
-        groups: list[tuple[int, list[_BatchedRun]]] = []
-        mu = nu = None
-        for problem in problems:
-            source_bases, target_bases = problem.bases
-            k = len(source_bases)
-            objective = JointObjective(
-                source_bases, target_bases, fused=cfg.fused_contractions
+        groups = [problem_runs(problem, resolved.dtype) for problem in problems]
+        everyone = [run for runs in groups for run in runs]
+        mu, nu = everyone[0].mu, everyone[0].nu
+        if stacked:
+            stepper = _LockstepPortfolio(cfg, mu, nu)
+        else:
+            stepper = _MixedLockstep(
+                cfg, mu, nu, capacity=len(everyone), precision=resolved
             )
-            mu, nu = problem.marginals()
-            plan0, informative_init = problem.initial_coupling(mu, nu)
-            starts = build_starts(cfg, k, informative_init)
-            runs = [
-                _BatchedRun(label, objective, beta0, learn, plan0)
-                for label, beta0, learn in starts
-            ]
-            groups.append((k, runs))
-        all_runs = [run for _, runs in groups for run in runs]
-        lockstep = _LockstepPortfolio(cfg, mu, nu)
-        # one shared advance schedule; pruning stays within each
-        # pair's restart group, exactly as the single-pair scheduler
-        # decides it (groups of one never prune, as in the backends)
-        schedule = (
-            prune_schedule(cfg)
-            if any(len(runs) > 1 for _, runs in groups)
-            else []
-        )
-        for checkpoint, margin in schedule:
-            lockstep.advance(all_runs, checkpoint)
-            for _, runs in groups:
-                if len(runs) <= 1:
-                    continue
-                contenders = {
-                    run.label: lockstep.current_objective(run)
-                    for run in runs
-                    if not run.pruned
-                }
-                leader = min(contenders.values())
-                for run in runs:
-                    if (
-                        not run.pruned
-                        and not run.finished
-                        and contenders[run.label] > leader + margin
-                    ):
-                        run.prune()
-        lockstep.advance(all_runs, cfg.max_outer_iter)
+        solved = run_portfolio(groups, cfg, stepper._step_all)
 
-    results = []
-    for index, (k, runs) in enumerate(groups):
-        outcomes = [lockstep.outcome(run) for run in runs]
-        best = select_best(outcomes)
-        checkpoints = prune_schedule(cfg) if len(runs) > 1 else []
-        phase_timings = {
-            "basis_build": problems[index].basis_seconds,
-            # lockstep phase totals are shared across the batch; the
-            # per-restart shares below are this pair's own attribution
-            "alpha_update": lockstep.timings["alpha_update"],
-            "pi_update": lockstep.timings["pi_update"],
-            "objective_eval": lockstep.timings["objective_eval"],
-            "per_restart": {run.label: run.elapsed for run in runs},
+    if stacked:
+        # the stacked step times the whole batch at once; the runs
+        # carry only their own objective evaluations
+        shared = {
+            key: total + sum(run.timings[key] for run in everyone)
+            for key, total in stepper.timings.items()
         }
+    results = []
+    for index, (problem, runs) in enumerate(zip(problems, groups)):
+        outcomes, checkpoints = solved[index]
+        phase_timings = portfolio_phase_timings(runs, problem.basis_seconds)
+        if stacked:
+            phase_timings.update(shared)
         result = portfolio_result(
-            COALESCED_BACKEND, outcomes, best, k, checkpoints,
+            COALESCED_BACKEND, outcomes, checkpoints, runs[0].k,
             phase_timings, runtime=sum(run.elapsed for run in runs),
         )
-        result.extras["coalesced"] = {
-            "batch_size": len(problems),
-            "batch_index": index,
-            "batch_runtime": timer.elapsed,
-        }
-        results.append(result)
-    return results
-
-
-def _solve_coalesced_mixed(problems: list[PreparedProblem], precision):
-    """The float32 coalesced branch: one mixed-precision lockstep.
-
-    Same batch admission, advance schedule and within-pair pruning as
-    the float64 branch; stepping goes through
-    :class:`~repro.engine.mixed._MixedLockstep`, whose per-slice GEMM
-    contract makes each pair's result bit-for-bit a single-pair
-    ``batched-f32`` solve of that problem.
-    """
-    from repro.engine.mixed import MixedRun, _MixedLockstep
-
-    cfg = problems[0].config
-    for problem in problems[1:]:
-        if not coalescible(problems[0], problem):
-            raise ConfigError(
-                "coalesced solve requires identical configs and plan "
-                "shapes across all problems"
-            )
-    with Timer() as timer:
-        # collect per-problem start recipes first: the mixed runs need
-        # the shared lockstep (sized to the whole batch) at construction
-        recipes = []
-        mu = nu = None
-        total = 0
-        for problem in problems:
-            source_bases, target_bases = problem.bases
-            k = len(source_bases)
-            objective = JointObjective(
-                source_bases, target_bases, fused=cfg.fused_contractions
-            )
-            mu, nu = problem.marginals()
-            plan0, informative_init = problem.initial_coupling(mu, nu)
-            starts = build_starts(cfg, k, informative_init)
-            recipes.append((k, objective, plan0, starts))
-            total += len(starts)
-        lockstep = _MixedLockstep(
-            cfg, mu, nu, capacity=total, precision=precision
-        )
-        groups: list[tuple[int, list[MixedRun]]] = []
-        for k, objective, plan0, starts in recipes:
-            runs = [
-                MixedRun(lockstep, objective, cfg, beta0, learn, plan0, label)
-                for label, beta0, learn in starts
-            ]
-            groups.append((k, runs))
-        all_runs = [run for _, runs in groups for run in runs]
-        schedule = (
-            prune_schedule(cfg)
-            if any(len(runs) > 1 for _, runs in groups)
-            else []
-        )
-        for checkpoint, margin in schedule:
-            lockstep.advance(all_runs, checkpoint)
-            for _, runs in groups:
-                if len(runs) <= 1:
-                    continue
-                contenders = {
-                    run.label: run.current_objective()
-                    for run in runs
-                    if not run.pruned
-                }
-                leader = min(contenders.values())
-                for run in runs:
-                    if run.active and contenders[run.label] > leader + margin:
-                        run.prune()
-        lockstep.advance(all_runs, cfg.max_outer_iter)
-
-    results = []
-    for index, (k, runs) in enumerate(groups):
-        outcomes = [run.outcome() for run in runs]
-        best = select_best(outcomes)
-        checkpoints = prune_schedule(cfg) if len(runs) > 1 else []
-        phase_timings = {
-            "basis_build": problems[index].basis_seconds,
-            "alpha_update": sum(r.timings["alpha_update"] for r in runs),
-            "pi_update": sum(r.timings["pi_update"] for r in runs),
-            "objective_eval": sum(r.timings["objective_eval"] for r in runs),
-            "per_restart": {run.label: run.elapsed for run in runs},
-        }
-        result = portfolio_result(
-            COALESCED_BACKEND, outcomes, best, k, checkpoints,
-            phase_timings, runtime=sum(run.elapsed for run in runs),
-        )
-        result.extras["precision"] = precision.name
+        if not stacked:
+            result.extras["precision"] = resolved.name
         result.extras["coalesced"] = {
             "batch_size": len(problems),
             "batch_index": index,

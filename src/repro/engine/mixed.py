@@ -1,10 +1,10 @@
-"""Reduced-precision (float32) portfolio stepping over a workspace.
+"""The float32 workspace step: the reduced-precision portfolio.
 
-This module implements the solve stage of the float32 precision mode
-(:mod:`repro.engine.precision`): the same restart portfolio policy as
-the reference backends, with the per-iteration tensor contractions
-executed in float32 against a preallocated
-:class:`~repro.ot.workspace.Workspace`.
+This module implements the solve stage of ``fused-dense`` at
+``precision="float32"`` (:mod:`repro.engine.precision`): the same
+restart portfolio policy and scheduler as the float64 path, with the
+per-iteration tensor contractions executed in float32 against a
+preallocated :class:`~repro.ot.workspace.Workspace`.
 
 Precision split (what stays float64)
 ------------------------------------
@@ -17,7 +17,8 @@ Precision split (what stays float64)
   rounded image of exactly the reference combination;
 * every **decision value**: pruning comparisons, history values and
   the final selection re-evaluate the float64 objective on a float64
-  cast of the float32 plan (:meth:`MixedRun.current_objective`).
+  cast of the float32 plan
+  (:meth:`repro.engine.restarts.RestartRun.current_objective`).
 
 Everything plan-shaped — the transported products, the plan gradient,
 the log kernel and the Sinkhorn projection
@@ -26,15 +27,12 @@ in float32 through ``out=``-targeted calls into workspace buffers.
 
 Equivalence contract
 --------------------
-``fused-dense-f32`` advances each run one at a time and
-``batched-f32`` advances them in lockstep, but both express every
-contraction as *per-slice* GEMMs into stack buffers, so the two
-backends are bit-for-bit identical to **each other** (pinned by
-``tests/test_precision.py``) while both differ from the float64
-reference by rounding.  The lockstep object is safe for concurrent
-``advance`` calls over *disjoint* run sets: all mutable scratch lives
-in per-thread workspaces leased from the arena, which is how
-``threaded-restart`` shares one instance across its pool.
+Every contraction is a *per-slice* GEMM into a stack buffer, so a run's
+float32 trajectory does not depend on what else shares the step: a
+solo ``fused-dense`` float32 solve and the same pair inside a coalesced
+float32 batch are bit-for-bit identical (pinned by
+``tests/test_precision.py``), while both differ from the float64
+reference by rounding.
 """
 
 from __future__ import annotations
@@ -44,114 +42,21 @@ import time
 import numpy as np
 
 from repro.core.config import SLOTAlignConfig
-from repro.core.convergence import IterateHistory
-from repro.core.objective import JointObjective
-from repro.core.result import AlignmentResult
 from repro.engine.precision import FLOAT32, SolverPrecision, ensure_precision
-from repro.engine.restarts import (
-    RunOutcome,
-    eta_schedule,
-    portfolio_phase_timings,
-    portfolio_result,
-    run_portfolio,
-)
+from repro.engine.restarts import eta_schedule
 from repro.exceptions import ConvergenceError
 from repro.ot.simplex import project_concatenated_simplices
 from repro.ot.sinkhorn import _flush_constants, sinkhorn_log_kernel_fast_workspace
 from repro.ot.workspace import WorkspaceArena
-from repro.utils.timer import Timer
-
-
-class MixedRun:
-    """One restart stepped in reduced precision.
-
-    Interface-compatible with :class:`repro.engine.restarts.RestartRun`
-    (``step_until`` / ``current_objective`` / ``prune`` / ``outcome`` /
-    ``active``), so the serial portfolio scheduler drives it
-    unchanged.  The plan iterate lives in a per-run float32 buffer;
-    stepping is delegated to the shared :class:`_MixedLockstep`.
-    """
-
-    def __init__(
-        self,
-        lockstep: "_MixedLockstep",
-        objective: JointObjective,
-        config: SLOTAlignConfig,
-        beta0: np.ndarray,
-        learn_weights: bool,
-        plan0: np.ndarray,
-        label: str,
-    ):
-        self._lockstep = lockstep
-        self.objective = objective
-        self.config = config
-        self.learn_weights = learn_weights
-        self.label = label
-        self.k = objective.n_bases
-        beta0 = np.asarray(beta0, dtype=np.float64)
-        self.alpha = np.concatenate([beta0, beta0])
-        self.plan = np.array(plan0, dtype=lockstep.dtype)
-        self.history = IterateHistory()
-        self.iteration = 0
-        self.pruned = False
-        self.pruned_at: int | None = None
-        self.deduped = False
-        self.merged_into: str | None = None
-        self.max_iterations = config.max_outer_iter
-        self.elapsed = 0.0
-        self.timings = {"alpha_update": 0.0, "pi_update": 0.0, "objective_eval": 0.0}
-
-    # ------------------------------------------------------------------
-    @property
-    def finished(self) -> bool:
-        return self.history.converged or self.iteration >= self.max_iterations
-
-    @property
-    def active(self) -> bool:
-        return not self.pruned and not self.finished
-
-    def step_until(self, target_iteration: int) -> None:
-        self._lockstep.advance([self], target_iteration)
-
-    def current_objective(self) -> float:
-        """Float64 objective at the float32 iterate.
-
-        Decision values (pruning, selection) are always evaluated in
-        float64 — the fresh cast also sidesteps the objective's
-        identity-keyed product memo, which must never see the mutable
-        per-run buffer.
-        """
-        t0 = time.perf_counter()
-        plan64 = self.plan.astype(np.float64)
-        value = self.objective.value(plan64, self.alpha[:self.k], self.alpha[self.k:])
-        self.timings["objective_eval"] += time.perf_counter() - t0
-        return value
-
-    def prune(self) -> None:
-        self.pruned = True
-        self.pruned_at = self.iteration
-
-    def outcome(self) -> RunOutcome:
-        return RunOutcome(
-            plan=self.plan.astype(np.float64),
-            alpha=self.alpha,
-            objective=self.current_objective(),
-            history=self.history,
-            label=self.label,
-            pruned=self.pruned,
-            iterations=self.iteration,
-            deduped=self.deduped,
-            merged_into=self.merged_into,
-        )
 
 
 class _MixedLockstep:
-    """Steps stacks of :class:`MixedRun` against leased workspaces.
+    """The float32 stepper over :class:`~repro.engine.restarts.RestartRun`
+    objects whose plan buffers are float32.
 
-    One instance per solve.  Holds no per-step mutable state of its
-    own: every scratch array comes from the arena's per-thread
-    workspace, so concurrent ``advance`` calls over disjoint run sets
-    (the threaded strategy) cannot alias buffers.
+    One instance per solve, sized to its number of runs.  Every scratch
+    array comes from a workspace leased from the arena; phase timings
+    are charged to the runs in equal shares.
     """
 
     def __init__(
@@ -161,7 +66,6 @@ class _MixedLockstep:
         nu: np.ndarray,
         capacity: int,
         precision: str | SolverPrecision = FLOAT32,
-        arena: WorkspaceArena | None = None,
     ):
         self.config = config
         self.precision = ensure_precision(precision)
@@ -171,27 +75,11 @@ class _MixedLockstep:
         self.n = self.mu.shape[0]
         self.m = self.nu.shape[0]
         self.capacity = max(1, int(capacity))
-        self.arena = arena if arena is not None else WorkspaceArena()
+        self.arena = WorkspaceArena()
         self.sinkhorn_tol = self.precision.effective_sinkhorn_tol(
             config.sinkhorn_tol
         )
         _, self.log_tiny = _flush_constants(self.dtype)
-
-    # ------------------------------------------------------------------
-    def advance(self, runs, target_iteration: int, limit: int | None = None) -> None:
-        """Advance ``runs`` toward ``target_iteration`` in lockstep."""
-        steps = 0
-        while limit is None or steps < limit:
-            active = [
-                run
-                for run in runs
-                if run.active
-                and run.iteration < min(target_iteration, run.max_iterations)
-            ]
-            if not active:
-                return
-            self._step_all(active)
-            steps += 1
 
     # ------------------------------------------------------------------
     def _step_all(self, active) -> None:  #: pinned
@@ -200,9 +88,8 @@ class _MixedLockstep:
         Every contraction is a per-slice GEMM/ufunc into a workspace
         stack buffer, so a batch step and the equivalent sequence of
         single-run steps issue identical instruction sequences — the
-        basis of the ``fused-dense-f32`` ↔ ``batched-f32`` bitwise
-        contract (pinned by ``repro lint``; divergent variants register
-        a new backend name).
+        basis of the solo ↔ coalesced float32 bitwise contract (pinned
+        by ``repro lint``).
         """
         cfg = self.config
         r = len(active)
@@ -347,113 +234,3 @@ class _MixedLockstep:
             run.timings["pi_update"] += pi_share
             run.timings["objective_eval"] += eval_share
             run.elapsed += alpha_share + pi_share + eval_share
-
-
-def _solve_portfolio_mixed(
-    backend_name: str,
-    problem,
-    precision: str | SolverPrecision,
-    arena: WorkspaceArena | None,
-    batched: bool,
-) -> AlignmentResult:
-    """Shared solve body of the two reduced-precision dense backends."""
-    from repro.engine.backends import ensure_classical_problem
-    from repro.engine.restarts import build_starts, prune_schedule, select_best
-
-    cfg = problem.config
-    ensure_classical_problem(problem, backend_name)
-    with Timer() as timer:
-        source_bases, target_bases = problem.bases
-        k = len(source_bases)
-        objective = JointObjective(
-            source_bases, target_bases, fused=cfg.fused_contractions
-        )
-        mu, nu = problem.marginals()
-        plan0, informative_init = problem.initial_coupling(mu, nu)
-        starts = build_starts(cfg, objective.n_bases, informative_init)
-        lockstep = _MixedLockstep(
-            cfg, mu, nu, capacity=len(starts), precision=precision, arena=arena
-        )
-        if not batched:
-            # serial scheduling: reuse the reference portfolio loop,
-            # advancing one run at a time through the lockstep
-            def factory(objective, config, beta0, learn, plan0, mu, nu, label):
-                return MixedRun(
-                    lockstep, objective, config, beta0, learn, plan0, label
-                )
-
-            runs, outcomes, best, checkpoints = run_portfolio(
-                objective, cfg, plan0, mu, nu, informative_init, run_factory=factory
-            )
-        else:
-            runs = [
-                MixedRun(lockstep, objective, cfg, beta0, learn, plan0, label)
-                for label, beta0, learn in starts
-            ]
-            checkpoints = prune_schedule(cfg) if len(runs) > 1 else []
-            for checkpoint, margin in checkpoints:
-                lockstep.advance(runs, checkpoint)
-                contenders = {
-                    run.label: run.current_objective()
-                    for run in runs
-                    if not run.pruned
-                }
-                leader = min(contenders.values())
-                for run in runs:
-                    if run.active and contenders[run.label] > leader + margin:
-                        run.prune()
-            lockstep.advance(runs, cfg.max_outer_iter)
-            outcomes = [run.outcome() for run in runs]
-            best = select_best(outcomes)
-    result = portfolio_result(
-        backend_name, outcomes, best, k, checkpoints,
-        portfolio_phase_timings(runs, problem.basis_seconds),
-        runtime=timer.elapsed,
-    )
-    result.extras["precision"] = ensure_precision(precision).name
-    return result
-
-
-class FusedDenseF32Backend:
-    """Serial restart portfolio stepped in float32 (new name, opt-in).
-
-    Same starts, same checkpoints, same scheduling loop as
-    ``fused-dense``; the per-iteration contractions run in float32
-    against a preallocated workspace and all decision values are
-    re-evaluated in float64.  Registered separately per the
-    never-silently-replace rule — results differ from the reference by
-    rounding.
-    """
-
-    name = "fused-dense-f32"
-    kind = "dense"
-
-    def __init__(self, arena: WorkspaceArena | None = None):
-        self.arena = arena
-
-    def solve(self, problem):
-        return _solve_portfolio_mixed(
-            self.name, problem, FLOAT32, self.arena, batched=False
-        )
-
-
-class BatchedF32Backend(FusedDenseF32Backend):
-    """Lockstep-batched float32 portfolio, bitwise-equal to
-    ``fused-dense-f32`` (both express every contraction as per-slice
-    GEMMs — see the module docstring)."""
-
-    name = "batched-f32"
-    kind = "dense"
-
-    def solve(self, problem):
-        return _solve_portfolio_mixed(
-            self.name, problem, FLOAT32, self.arena, batched=True
-        )
-
-
-__all__ = [
-    "BatchedF32Backend",
-    "FusedDenseF32Backend",
-    "MixedRun",
-    "_MixedLockstep",
-]

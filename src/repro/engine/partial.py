@@ -46,9 +46,9 @@ from repro.core.result import AlignmentResult
 from repro.engine.backends import FusedDenseBackend
 from repro.engine.planning import PreparedProblem
 from repro.engine.restarts import (
-    RestartRun,
     portfolio_phase_timings,
     portfolio_result,
+    restart_runs,
     run_portfolio,
 )
 from repro.exceptions import ConvergenceError
@@ -77,40 +77,36 @@ def _problem_anchors(problem: PreparedProblem) -> np.ndarray | None:
     return anchors
 
 
-class _OffsetRun(RestartRun):
-    """Reference restart with a log-domain prior on the π-update.
+def offset_projection(offset: np.ndarray, block: tuple[int, int] | None):
+    """Balanced projection with a log-domain prior on the π-update.
 
-    The balanced projection is unchanged; ``offset`` (same shape as the
-    plan) is added to every iteration's proximal kernel before the
-    Sinkhorn projection — the anchor prior rides on it.  ``block``
-    (an index pair, or ``None``) marks the dummy–dummy cell, which is
-    re-pinned ``_DUMMY_BLOCK_PENALTY`` nats below the kernel's minimum
-    each iteration — an offset relative to the kernel's own scale,
-    because the proximal kernel's dynamic range grows with ``1/η`` and
-    would swallow any fixed penalty.
+    ``offset`` (same shape as the plan) is added to every iteration's
+    proximal kernel before the Sinkhorn projection — the anchor prior
+    rides on it.  ``block`` (an index pair, or ``None``) marks the
+    dummy–dummy cell, which is re-pinned ``_DUMMY_BLOCK_PENALTY`` nats
+    below the kernel's minimum each iteration — an offset relative to
+    the kernel's own scale, because the proximal kernel's dynamic range
+    grows with ``1/η`` and would swallow any fixed penalty.
     """
 
-    def __init__(self, *args, offset: np.ndarray, block: tuple[int, int] | None):
-        super().__init__(*args)
-        self.offset = offset
-        self.block = block
-
-    def _project_plan(self, log_kernel: np.ndarray, eta: float) -> np.ndarray:
-        kernel = log_kernel + self.offset
-        if self.block is not None:
-            kernel[self.block] = float(kernel.min()) - _DUMMY_BLOCK_PENALTY
+    def project(run, log_kernel: np.ndarray, eta: float) -> np.ndarray:
+        kernel = log_kernel + offset
+        if block is not None:
+            kernel[block] = float(kernel.min()) - _DUMMY_BLOCK_PENALTY
         result = sinkhorn_log_kernel_fast(
             kernel,
-            self.mu,
-            self.nu,
-            max_iter=self.config.sinkhorn_iter,
-            tol=self.config.sinkhorn_tol,
+            run.mu,
+            run.nu,
+            max_iter=run.config.sinkhorn_iter,
+            tol=run.config.sinkhorn_tol,
         )
         return result.plan
 
+    return project
 
-class _UnbalancedRun(RestartRun):
-    """Restart whose π-update projects with KL-relaxed marginals.
+
+def unbalanced_projection(offset: np.ndarray | None):
+    """Projection with KL-relaxed marginals (plus an optional prior).
 
     ``η`` — the proximal coefficient the log kernel was built with — is
     handed to the unbalanced scaling as its entropic ``epsilon`` (the
@@ -118,13 +114,9 @@ class _UnbalancedRun(RestartRun):
     ``ρ/(ρ+η)`` anneals together with the proximal schedule.
     """
 
-    def __init__(self, *args, offset: np.ndarray | None):
-        super().__init__(*args)
-        self.offset = offset
-
-    def _project_plan(self, log_kernel: np.ndarray, eta: float) -> np.ndarray:
-        if self.offset is not None:
-            log_kernel = log_kernel + self.offset
+    def project(run, log_kernel: np.ndarray, eta: float) -> np.ndarray:
+        if offset is not None:
+            log_kernel = log_kernel + offset
         # the unbalanced fixed point is NOT shift-invariant in the
         # kernel (a constant shift c rescales the plan's total mass by
         # exp(c(1-x)/(1+x)) for scaling exponent x), and the proximal
@@ -133,14 +125,16 @@ class _UnbalancedRun(RestartRun):
         # marginals decide *how much*, and exp() cannot overflow
         result = sinkhorn_unbalanced_log_kernel(
             log_kernel - float(log_kernel.max()),
-            self.mu,
-            self.nu,
+            run.mu,
+            run.nu,
             epsilon=eta,
-            rho=self.config.partial_rho,
-            max_iter=self.config.sinkhorn_iter,
-            tol=self.config.sinkhorn_tol,
+            rho=run.config.partial_rho,
+            max_iter=run.config.sinkhorn_iter,
+            tol=run.config.sinkhorn_tol,
         )
         return result.plan
+
+    return project
 
 
 def _extend_bases(bases: list[np.ndarray]) -> list[np.ndarray]:
@@ -199,7 +193,6 @@ class PartialDummyBackend:
 
         with Timer() as timer:
             source_bases, target_bases = problem.bases
-            k = len(source_bases)
             mu, nu = problem.marginals()
             plan0, informative_init = problem.initial_coupling(mu, nu)
             n, m = mu.shape[0], nu.shape[0]
@@ -235,21 +228,18 @@ class PartialDummyBackend:
             objective = JointObjective(
                 run_source, run_target, fused=cfg.fused_contractions
             )
-
-            def factory(*args):
-                return _OffsetRun(*args, offset=offset, block=block)
-
-            runs, outcomes, best, checkpoints = run_portfolio(
-                objective, cfg, plan0_run, mu_run, nu_run,
-                informative_init, run_factory=factory,
+            runs = restart_runs(
+                objective, cfg, plan0_run, mu_run, nu_run, informative_init,
+                project=offset_projection(offset, block),
             )
+            [(outcomes, checkpoints)] = run_portfolio([runs], cfg)
         result = portfolio_result(
-            self.name, outcomes, best, k, checkpoints,
+            self.name, outcomes, checkpoints, objective.n_bases,
             portfolio_phase_timings(runs, problem.basis_seconds),
             runtime=timer.elapsed,
         )
         if slack > 0.0:
-            plan_ext = best.plan
+            plan_ext = result.plan
             real = plan_ext[:n, :m]
             shed_source = plan_ext[:n, m]
             shed_target = plan_ext[n, :m]
@@ -265,7 +255,7 @@ class PartialDummyBackend:
         else:
             source_scores = np.zeros(n)
             target_scores = np.zeros(m)
-            matched_mass = float(best.plan.sum())
+            matched_mass = float(result.plan.sum())
         result.extras["partial"] = {
             "mode": "dummy",
             "mass": cfg.partial_mass,
@@ -283,7 +273,8 @@ class PartialUnbalancedBackend:
     """Partial-overlap portfolio with KL-relaxed marginals.
 
     The portfolio, restarts and α-updates are the reference machinery;
-    only the π-update's projection differs (see :class:`_UnbalancedRun`).
+    only the π-update's projection differs (see
+    :func:`unbalanced_projection`).
     Marginals are scaled to total mass ``partial_mass`` so the KL
     penalty pulls the transported mass toward the requested overlap;
     ``partial_rho`` sets how expensive deviating from the (scaled)
@@ -300,7 +291,6 @@ class PartialUnbalancedBackend:
         anchors = _problem_anchors(problem)
         with Timer() as timer:
             source_bases, target_bases = problem.bases
-            k = len(source_bases)
             objective = JointObjective(
                 source_bases, target_bases, fused=cfg.fused_contractions
             )
@@ -314,21 +304,18 @@ class PartialUnbalancedBackend:
             if anchors is not None:
                 offset = np.zeros((mu.shape[0], nu.shape[0]))
                 offset[anchors[:, 0], anchors[:, 1]] += cfg.partial_anchor_weight
-
-            def factory(*args):
-                return _UnbalancedRun(*args, offset=offset)
-
-            runs, outcomes, best, checkpoints = run_portfolio(
-                objective, cfg, plan0_run, mu_run, nu_run,
-                informative_init, run_factory=factory,
+            runs = restart_runs(
+                objective, cfg, plan0_run, mu_run, nu_run, informative_init,
+                project=unbalanced_projection(offset),
             )
+            [(outcomes, checkpoints)] = run_portfolio([runs], cfg)
         result = portfolio_result(
-            self.name, outcomes, best, k, checkpoints,
+            self.name, outcomes, checkpoints, objective.n_bases,
             portfolio_phase_timings(runs, problem.basis_seconds),
             runtime=timer.elapsed,
         )
-        row_mass = best.plan.sum(axis=1)
-        col_mass = best.plan.sum(axis=0)
+        row_mass = result.plan.sum(axis=1)
+        col_mass = result.plan.sum(axis=0)
         # shortfall against the scaled marginal: a fully-served node
         # scores ~0, a node the solver abandoned scores ~1 (unbalanced
         # scalings can overshoot their target, hence the clip)
@@ -340,7 +327,7 @@ class PartialUnbalancedBackend:
             "rho": cfg.partial_rho,
             "n_anchors": 0 if anchors is None else int(anchors.shape[0]),
             "delegated": False,
-            "matched_mass": float(best.plan.sum()),
+            "matched_mass": float(result.plan.sum()),
             "source_unmatchable": source_scores,
             "target_unmatchable": target_scores,
         }

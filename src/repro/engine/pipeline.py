@@ -8,7 +8,8 @@ is explicit and separately callable:
 * :meth:`AlignmentEngine.plan` — base/view construction through the
   content-keyed :class:`~repro.engine.planning.PlanCache`;
 * :meth:`AlignmentEngine.solve` — dispatch to a registered solver
-  backend (``fused-dense`` / ``batched-restart`` / ``sparse``);
+  backend (``fused-dense`` / ``partial-dummy`` /
+  ``partial-unbalanced`` / ``sparse``);
 * :meth:`AlignmentEngine.decode` — turn the solved transport plan
   into a discrete matching through a registered decoder
   (``row-argmax`` / ``mutual-argmax`` / ``hungarian`` / ``mea``);
@@ -30,11 +31,7 @@ import numpy as np
 from repro.core.config import SLOTAlignConfig
 from repro.engine.backends import DEFAULT_BACKEND, get_backend
 from repro.engine.decode import DEFAULT_DECODER, DecodedMatching, decode_plan
-from repro.engine.precision import (
-    DEFAULT_PRECISION,
-    backend_for_precision,
-    ensure_precision,
-)
+from repro.engine.precision import DEFAULT_PRECISION, ensure_precision
 from repro.engine.evaluate import evaluate_alignment
 from repro.engine.planning import (
     PlanCache,
@@ -90,11 +87,11 @@ class AlignmentEngine:
         is validated lazily, at decode time.
     precision:
         Working precision of the solve stage — ``"float64"`` (the
-        default, routing to the bitwise-pinned reference backends
-        untouched) or ``"float32"`` (routing through
-        :func:`repro.engine.precision.backend_for_precision` to the
-        reduced-precision backends).  Validated eagerly so a typo
-        fails at construction, not mid-solve.
+        default, every backend's bitwise-pinned reference path) or
+        ``"float32"`` (``fused-dense`` only; other backends refuse it
+        at solve time with a choice-naming error).  The name is
+        validated eagerly so a typo fails at construction, not
+        mid-solve.
     """
 
     def __init__(
@@ -143,14 +140,14 @@ class AlignmentEngine:
     def solve(self, problem: PreparedProblem):
         """Stage 2: run the configured solver backend.
 
-        The precision routing happens here, per solve: ``float64`` is
-        the identity (the requested backend runs untouched), while
-        ``float32`` swaps in the reduced-precision variant and merges
-        its routing options under any explicit ``backend_options``
-        (explicit options win).
+        The engine's precision is checked against the backend here,
+        per solve; an explicit ``precision`` in ``backend_options``
+        wins over it.
         """
-        name, extra = backend_for_precision(self.backend, self.precision)
-        backend = get_backend(name, **{**extra, **self.backend_options})
+        backend = get_backend(
+            self.backend,
+            **{"precision": self.precision, **self.backend_options},
+        )
         return backend.solve(problem)
 
     def decode(self, result, decoder: str | None = None) -> DecodedMatching:

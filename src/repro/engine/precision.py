@@ -1,19 +1,19 @@
 """Solver precision model: the opt-in float32 fast path.
 
-Every reference backend (``fused-dense``, ``batched-restart``, the
-dedup twins) iterates in float64 and is bitwise-pinned.  The float32
-mode trades that determinism contract for speed on the ``pi_update``
-hot path, under three rules that keep it honest:
+``fused-dense`` iterates in float64 by default and is bitwise-pinned.
+Its ``precision="float32"`` mode trades that determinism contract for
+speed on the ``pi_update`` hot path, under three rules that keep it
+honest:
 
-1. **New names, never replacements.**  ``float32`` routes to the
-   separately-registered ``fused-dense-f32`` / ``batched-f32``
-   backends (and flips ``threaded-restart`` into its reduced-precision
-   mode); ``float64`` returns the requested backend untouched, so the
-   pinned reference paths cannot be reached through a precision knob.
+1. **Opt-in, never a silent swap.**  float32 is an explicit option of
+   ``fused-dense`` (:func:`repro.engine.backends.get_backend`); the
+   default float64 never reaches the float32 step, and a backend
+   without a float32 variant refuses it with a choice-naming
+   :class:`ConfigError`.
 2. **Decisions stay float64.**  Portfolio pruning and final selection
    compare objective values re-evaluated in float64 from the float32
-   iterate (:meth:`repro.engine.mixed.MixedRun.current_objective`), so
-   reduced precision never changes *which* restart survives for
+   iterate (:meth:`repro.engine.restarts.RestartRun.current_objective`),
+   so reduced precision never changes *which* restart survives for
    reasons of accumulated rounding in the score itself.
 3. **Tolerance floors.**  The float64 defaults (``sinkhorn_tol=1e-9``,
    marginal violations measured in L1) sit far below float32
@@ -91,49 +91,6 @@ def ensure_precision(precision: str | SolverPrecision) -> SolverPrecision:
     return resolved
 
 
-# float32 routing table: requested backend -> (actual backend, extra
-# backend options).  float64 never consults this — see
-# backend_for_precision.  ``fused-dense`` routes to *batched*-f32, not
-# fused-dense-f32: the two are bitwise-equal (per-slice GEMM contract)
-# but only the lockstep schedule amortises the numpy call overhead
-# that dominates pi_update at bench scale, so the mode always picks
-# the fast schedule.  fused-dense-f32 stays reachable by explicit name
-# as the serial-scheduled equivalence anchor.
-_F32_ROUTES: dict[str, tuple[str, dict]] = {
-    "fused-dense": ("batched-f32", {}),
-    "fused-dense-f32": ("fused-dense-f32", {}),
-    "batched-restart": ("batched-f32", {}),
-    "batched-f32": ("batched-f32", {}),
-    "threaded-restart": ("threaded-restart", {"precision": "float32"}),
-}
-
-
-def backend_for_precision(
-    backend: str, precision: str | SolverPrecision
-) -> tuple[str, dict]:
-    """Map ``(backend, precision)`` to the backend that implements it.
-
-    ``float64`` is the identity: the requested backend is returned
-    unchanged with no extra options, so the default precision routes to
-    the bitwise-pinned reference paths.  ``float32`` routes through
-    :data:`_F32_ROUTES`; backends without a reduced-precision variant
-    (sparse, partial, the dedup twins) raise :class:`ConfigError`
-    naming the ones that have one.
-    """
-    resolved = ensure_precision(precision)
-    if resolved.name == DEFAULT_PRECISION:
-        return backend, {}
-    route = _F32_ROUTES.get(backend)
-    if route is None:
-        supported = ", ".join(sorted(set(_F32_ROUTES)))
-        raise ConfigError(
-            f"backend {backend!r} has no {resolved.name} variant; "
-            f"precision-routable backends: {supported}"
-        )
-    name, options = route
-    return name, dict(options)
-
-
 __all__ = [
     "DEFAULT_PRECISION",
     "F32_SINKHORN_TOL",
@@ -142,6 +99,5 @@ __all__ = [
     "HIT1_PARITY_POINTS",
     "PRECISIONS",
     "SolverPrecision",
-    "backend_for_precision",
     "ensure_precision",
 ]

@@ -1,20 +1,23 @@
-"""Restart-portfolio machinery shared by the solver backends.
+"""The restart portfolio: policy, run state and the one scheduler.
 
 The multi-start portfolio (uniform + vertex restarts, successive-
 halving pruning, η annealing) is solver policy, not solver mechanics:
-the serial ``fused-dense`` backend and the lockstep ``batched-restart``
-backend run the *same* portfolio — same starts, same schedule, same
-pruning decisions — and differ only in how the per-iteration tensor
-contractions are dispatched.  Everything policy-level therefore lives
-here, once.
+every solve path runs the *same* portfolio — same starts, same
+schedule, same pruning decisions — and differs only in the stepper
+that advances the runs.  Everything policy-level therefore lives here,
+once:
 
-:class:`RestartRun` is the reference serial implementation of one
-restart's stepping state.  Its per-iteration body is a faithful
-transcription of the original single-shot loop: as long as a run is
-advanced to the full budget, its iterate sequence (and therefore its
-final plan) is bit-for-bit what the unscheduled solver produced.
-``step_until`` lets the portfolio scheduler advance restarts
-checkpoint by checkpoint.
+* :class:`RestartRun` is the one run state.  Its ``_step_once`` is the
+  float64 serial step, a faithful transcription of the original
+  single-shot loop: as long as a run is advanced to the full budget,
+  its iterate sequence (and therefore its final plan) is bit-for-bit
+  what the unscheduled solver produced.  The stacked float64 step
+  (:class:`repro.engine.batched._LockstepPortfolio`) and the float32
+  workspace step (:class:`repro.engine.mixed._MixedLockstep`) advance
+  the same run objects.
+* :func:`run_portfolio` is the one scheduler: checkpoints, pruning
+  within each pair's restart group, then the final advance, whatever
+  the stepper.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from repro.core.config import SLOTAlignConfig
 from repro.core.convergence import IterateHistory
 from repro.core.objective import JointObjective
 from repro.core.result import AlignmentResult
+from repro.engine.planning import PreparedProblem
 from repro.exceptions import ConvergenceError, GraphError
 from repro.ot.simplex import project_concatenated_simplices
 from repro.ot.sinkhorn import sinkhorn_log_kernel_fast
@@ -35,12 +39,7 @@ from repro.ot.sinkhorn import sinkhorn_log_kernel_fast
 
 @dataclass
 class RunOutcome:
-    """One restart's final iterates.
-
-    ``deduped`` marks a restart dropped by trajectory dedup because its
-    coupling had converged (within tolerance) onto ``merged_into``'s —
-    the restart is also ``pruned`` so downstream selection skips it.
-    """
+    """One restart's final iterates (the plan always float64)."""
 
     plan: np.ndarray
     alpha: np.ndarray
@@ -49,8 +48,6 @@ class RunOutcome:
     label: str
     pruned: bool = False
     iterations: int = 0
-    deduped: bool = False
-    merged_into: str | None = None
 
 
 def eta_schedule(config: SLOTAlignConfig, iteration: int) -> float:
@@ -144,8 +141,33 @@ def prune_schedule(config: SLOTAlignConfig) -> list[tuple[int, float]]:
     return schedule
 
 
+def project_balanced(
+    run: "RestartRun", log_kernel: np.ndarray, eta: float
+) -> np.ndarray:
+    """Sinkhorn projection of ``exp(log_kernel)`` onto ``Π(μ, ν)``.
+
+    The reference π-update projection, exactly as the pre-engine
+    solver ran it; ``η`` only matters to the partial projections in
+    :mod:`repro.engine.partial`.
+    """
+    result = sinkhorn_log_kernel_fast(
+        log_kernel,
+        run.mu,
+        run.nu,
+        max_iter=run.config.sinkhorn_iter,
+        tol=run.config.sinkhorn_tol,
+    )
+    return result.plan
+
+
 class RestartRun:
-    """Stepping state of one restart of the alternating scheme."""
+    """Stepping state of one restart of the alternating scheme.
+
+    ``project`` is the π-update's projection ``(run, log_kernel, η) →
+    plan`` used by the serial step.  ``dtype`` is the plan iterate's
+    working precision: a float32 run is stepped only by the workspace
+    lockstep, which writes its plan buffer in place.
+    """
 
     def __init__(
         self,
@@ -157,6 +179,8 @@ class RestartRun:
         mu: np.ndarray,
         nu: np.ndarray,
         label: str,
+        project=project_balanced,
+        dtype=np.float64,
     ):
         self.objective = objective
         self.config = config
@@ -164,18 +188,17 @@ class RestartRun:
         self.label = label
         self.mu = mu
         self.nu = nu
+        self.project = project
         self.k = objective.n_bases
         self.alpha = np.concatenate([beta0, beta0])
-        self.plan = plan0.copy()
+        # a float64 run owns a C-ordered copy, as the serial solver
+        # always did; a float32 buffer keeps plan0's memory layout
+        self.plan = (
+            plan0.copy() if dtype == np.float64 else np.array(plan0, dtype=dtype)
+        )
         self.history = IterateHistory()
         self.iteration = 0
         self.pruned = False
-        self.pruned_at: int | None = None
-        self.deduped = False
-        self.merged_into: str | None = None
-        # per-run iteration budget: equals the config cap unless the
-        # dedup portfolio reallocates a merged restart's remainder
-        self.max_iterations = config.max_outer_iter
         self.elapsed = 0.0
         self.timings = {"alpha_update": 0.0, "pi_update": 0.0, "objective_eval": 0.0}
 
@@ -184,7 +207,7 @@ class RestartRun:
     def finished(self) -> bool:
         return (
             self.history.converged
-            or self.iteration >= self.max_iterations
+            or self.iteration >= self.config.max_outer_iter
         )
 
     @property
@@ -192,35 +215,44 @@ class RestartRun:
         return not self.pruned and not self.finished
 
     def step_until(self, target_iteration: int) -> None:
-        """Advance to ``min(target, max_iterations)`` or convergence."""
-        target = min(target_iteration, self.max_iterations)
+        """Advance to ``min(target, max_outer_iter)`` or convergence."""
+        target = min(target_iteration, self.config.max_outer_iter)
         start = time.perf_counter()
         while self.iteration < target and not self.history.converged:
             self._step_once()
         self.elapsed += time.perf_counter() - start
 
+    def plan64(self) -> np.ndarray:
+        """The plan iterate in float64.
+
+        A float32 buffer is written in place, so it reaches the
+        objective's identity-keyed product memo only as a fresh cast.
+        """
+        if self.plan.dtype == np.float64:
+            return self.plan
+        return self.plan.astype(np.float64)
+
     def current_objective(self) -> float:
-        """Objective at the current iterate (pure read, cache-friendly)."""
+        """Float64 objective at the current iterate (a pure read)."""
         t0 = time.perf_counter()
-        value = self.objective.value(self.plan, self.alpha[:self.k], self.alpha[self.k:])
+        value = self.objective.value(
+            self.plan64(), self.alpha[:self.k], self.alpha[self.k:]
+        )
         self.timings["objective_eval"] += time.perf_counter() - t0
         return value
 
     def prune(self) -> None:
         self.pruned = True
-        self.pruned_at = self.iteration
 
     def outcome(self) -> RunOutcome:
         return RunOutcome(
-            plan=self.plan,
+            plan=self.plan64(),
             alpha=self.alpha,
             objective=self.current_objective(),
             history=self.history,
             label=self.label,
             pruned=self.pruned,
             iterations=self.iteration,
-            deduped=self.deduped,
-            merged_into=self.merged_into,
         )
 
     # ------------------------------------------------------------------
@@ -281,274 +313,114 @@ class RestartRun:
     def _project_plan(self, log_kernel: np.ndarray, eta: float) -> np.ndarray:
         """Project ``exp(log_kernel)`` onto the plan's feasible set.
 
-        The seam the partial solve mode reroutes: the reference run
-        projects onto the balanced polytope ``Π(μ, ν)`` exactly as the
-        pre-seam solver did; the partial runs add a log-domain prior
-        and/or swap in the unbalanced scaling (``η`` — the proximal
-        coefficient the kernel was built with — only matters there).
+        The seam the partial solve modes reroute through ``project``
+        (``η`` is the proximal coefficient the kernel was built with).
         """
-        result = sinkhorn_log_kernel_fast(
-            log_kernel,
-            self.mu,
-            self.nu,
-            max_iter=self.config.sinkhorn_iter,
-            tol=self.config.sinkhorn_tol,
+        return self.project(self, log_kernel, eta)
+
+
+def restart_runs(
+    objective: JointObjective,
+    config: SLOTAlignConfig,
+    plan0: np.ndarray,
+    mu: np.ndarray,
+    nu: np.ndarray,
+    informative_init: bool,
+    project=project_balanced,
+    dtype=np.float64,
+) -> list[RestartRun]:
+    """One pair's restart group, in :func:`build_starts` order."""
+    return [
+        RestartRun(
+            objective, config, beta0, learn, plan0, mu, nu, label,
+            project=project, dtype=dtype,
         )
-        return result.plan
+        for label, beta0, learn in build_starts(
+            config, objective.n_bases, informative_init
+        )
+    ]
+
+
+def problem_runs(problem: PreparedProblem, dtype=np.float64) -> list[RestartRun]:
+    """The balanced restart group of one prepared problem."""
+    cfg = problem.config
+    source_bases, target_bases = problem.bases
+    objective = JointObjective(
+        source_bases, target_bases, fused=cfg.fused_contractions
+    )
+    mu, nu = problem.marginals()
+    plan0, informative_init = problem.initial_coupling(mu, nu)
+    return restart_runs(
+        objective, cfg, plan0, mu, nu, informative_init, dtype=dtype
+    )
 
 
 def run_portfolio(
-    objective: JointObjective,
+    groups: list[list[RestartRun]],
     config: SLOTAlignConfig,
-    plan0: np.ndarray,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    informative_init: bool,
-    run_factory=RestartRun,
-) -> tuple[list[RestartRun], list[RunOutcome], RunOutcome, list[tuple[int, float]]]:
-    """Run the serial restart portfolio over one prepared objective.
+    step_all=None,
+) -> list[tuple[list[RunOutcome], list[tuple[int, float]]]]:
+    """The portfolio scheduler: checkpoints, pruning, final advance.
 
-    The faithful move of the scheduling loop that lived in the
-    ``fused-dense`` backend: restart construction, successive-halving
-    checkpoints and the final full-budget advance are unchanged, so
-    running this with the default ``run_factory`` is bit-for-bit the
-    historical solver.  The partial backends reuse the identical
-    policy over their extended/unbalanced run classes.
+    ``groups`` holds one restart group per graph pair, all sharing
+    ``config``.  At each :func:`prune_schedule` checkpoint every live
+    run is advanced to it, then each group of two or more runs prunes
+    the restarts whose objective trails its leader by more than the
+    margin; pruning never compares runs of different pairs.  The final
+    advance runs the survivors to ``max_outer_iter``.  Returns, per
+    group, its run outcomes and the checkpoints it pruned at.
+
+    ``step_all`` is the stepper.  ``None`` is the serial step: each live
+    run is advanced to the target in turn, exactly as the historical
+    single-pair loop did.  Otherwise ``step_all(runs)`` takes every
+    listed run one outer iteration together (the stacked and workspace
+    lockstep bodies); live runs then share one iteration counter.
+    Trajectories never depend on the stepper or on the other runs, so
+    every choice yields the same bits per precision.
     """
-    starts = build_starts(config, objective.n_bases, informative_init)
-    runs = [
-        run_factory(objective, config, beta0, learn, plan0, mu, nu, label)
-        for label, beta0, learn in starts
-    ]
-    checkpoints = prune_schedule(config) if len(runs) > 1 else []
-    for checkpoint, margin in checkpoints:
-        for run in runs:
-            if run.active:
-                run.step_until(checkpoint)
-        contenders = {
-            run.label: run.current_objective()
-            for run in runs
-            if not run.pruned
-        }
-        leader = min(contenders.values())
-        for run in runs:
-            if run.active and contenders[run.label] > leader + margin:
-                run.prune()
-    for run in runs:
-        if run.active:
-            run.step_until(config.max_outer_iter)
-    outcomes = [run.outcome() for run in runs]
-    best = select_best(outcomes)
-    return runs, outcomes, best, checkpoints
+    everyone = [run for runs in groups for run in runs]
 
+    def advance(target: int) -> None:
+        if step_all is None:
+            for run in everyone:
+                if run.active:
+                    run.step_until(target)
+            return
+        while True:
+            live = [
+                run for run in everyone
+                if run.active and run.iteration < target
+            ]
+            if not live:
+                return
+            step_all(live)
 
-def plan_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Relative Frobenius distance between two coupling iterates."""
-    scale = max(
-        float(np.linalg.norm(a)), float(np.linalg.norm(b)), 1e-300
+    schedule = (
+        prune_schedule(config) if any(len(runs) > 1 for runs in groups) else []
     )
-    return float(np.linalg.norm(a - b)) / scale
-
-
-def dedup_schedule(config: SLOTAlignConfig, interval: int | None = None) -> list[int]:
-    """Iterations at which the dedup portfolio compares trajectories.
-
-    Every ``interval`` iterations (default: ``portfolio_prune_iter``,
-    or 20 when pruning is disabled) up to — but excluding — the outer
-    budget: a merge at the budget frees nothing.
-    """
-    if interval is None:
-        interval = (
-            config.portfolio_prune_iter
-            if config.portfolio_prune_iter > 0
-            else 20
-        )
-    if interval <= 0:
-        return []
-    return list(range(interval, config.max_outer_iter, interval))
-
-
-#: Default opening tolerance of the converging dedup schedule.
-#: Calibrated on the bench portfolio (n=81, 4 starts, budget 150):
-#: the clone cluster (uniform/node/node-frozen) sits at relative
-#: Frobenius distance ~1e-2 by the first 20-iteration checkpoint and
-#: plateaus near 1e-3, while the genuinely distinct ``edge`` basin
-#: stays at ~1.2 — so 0.05 separates clones from basins with an order
-#: of magnitude of margin on both sides.
-DEDUP_TOL_START = 0.05
-
-
-def dedup_tolerance(
-    iteration: int,
-    budget: int,
-    floor: float,
-    start: float = DEDUP_TOL_START,
-) -> float:
-    """Converging dedup tolerance at ``iteration`` (ROADMAP item 4).
-
-    The fixed ``1e-5`` tolerance was a dead letter: restart
-    trajectories that share a basin plateau around relative Frobenius
-    distance ``1e-3`` — close enough to be clones, never close enough
-    for ``1e-5`` — so no merge ever fired and the dedup backends paid
-    the comparison cost for nothing.  This schedule starts loose and
-    tightens as trajectories converge: geometric interpolation from
-    ``start`` at iteration 0 down to ``floor`` at the outer
-    ``budget``, so early checkpoints merge obvious clones (freeing the
-    most budget) while late checkpoints only merge near-identical
-    iterates.
-
-    Degenerate cases keep the PR-9 contracts: ``floor <= 0`` returns
-    ``floor`` unchanged (dedup off stays off), and ``start <= floor``
-    collapses to the constant ``floor`` (the old fixed-tolerance
-    behaviour — which is also how an over-wide explicit ``dedup_tol``
-    like the forced-merge tests' ``10.0`` keeps its meaning).
-    """
-    if floor <= 0.0 or start <= floor:
-        return floor
-    fraction = min(max(iteration / budget, 0.0), 1.0) if budget > 0 else 1.0
-    return float(start * (floor / start) ** fraction)
-
-
-def _apply_dedup(runs, tol: float, budget: int) -> list[dict]:  #: pinned
-    """Merge live restarts whose couplings converged within ``tol``.
-
-    Pairwise relative-Frobenius comparison over the non-pruned runs in
-    start order; when two plans sit within ``tol`` the **earlier** run
-    keeps its trajectory and the later one is marked ``deduped`` (and
-    pruned, so selection skips it).  Each merge records the dropped
-    run's remaining iteration budget against ``budget`` — the pool the
-    caller redistributes to the survivors.
-
-    Bitwise-pinned (``repro lint``): the merge criterion decides which
-    trajectories the ``*-dedup`` backends drop, and any change to it
-    changes their outputs.
-    """
-    candidates = [run for run in runs if not run.pruned]
-    merges: list[dict] = []
-    for i, keeper in enumerate(candidates):
-        if keeper.deduped:
-            continue
-        for other in candidates[i + 1:]:
-            if other.deduped:
+    for checkpoint, margin in schedule:
+        advance(checkpoint)
+        for runs in groups:
+            if len(runs) <= 1:
                 continue
-            distance = plan_distance(keeper.plan, other.plan)
-            if distance <= tol:
-                other.deduped = True
-                other.merged_into = keeper.label
-                other.prune()
-                merges.append({
-                    "kept": keeper.label,
-                    "dropped": other.label,
-                    "iteration": other.iteration,
-                    "distance": distance,
-                    "freed": (
-                        0
-                        if other.history.converged
-                        else max(0, budget - other.iteration)
-                    ),
-                })
-    return merges
-
-
-def run_portfolio_dedup(
-    objective: JointObjective,
-    config: SLOTAlignConfig,
-    plan0: np.ndarray,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    informative_init: bool,
-    run_factory=RestartRun,
-    dedup_tol: float = 1e-5,
-    dedup_interval: int | None = None,
-    dedup_tol_start: float = DEDUP_TOL_START,
-) -> tuple[list[RestartRun], list[RunOutcome], RunOutcome, list[tuple[int, float]], dict]:
-    """The serial restart portfolio with trajectory dedup (Snippet-3 idiom).
-
-    Identical to :func:`run_portfolio` except that at every
-    :func:`dedup_schedule` checkpoint, restarts whose couplings have
-    converged onto an earlier restart's (relative Frobenius distance
-    ≤ the :func:`dedup_tolerance` schedule decaying from
-    ``dedup_tol_start`` to the ``dedup_tol`` floor) are dropped, and
-    the iteration budget they would have burned is redistributed:
-    every survivor's ``max_iterations`` is extended by
-    ``freed // n_survivors`` (capped at one extra full budget), so the
-    portfolio spends the same total work exploring *distinct* basins
-    instead of stepping clones.
-
-    A merge changes which trajectories exist (and survivors may run
-    past ``max_outer_iter``), so results can differ from
-    :func:`run_portfolio` — this function therefore backs the
-    separately-registered ``fused-dense-dedup`` backend; with no merge
-    firing the trajectories are bit-for-bit the classical portfolio's.
-    """
-    starts = build_starts(config, objective.n_bases, informative_init)
-    runs = [
-        run_factory(objective, config, beta0, learn, plan0, mu, nu, label)
-        for label, beta0, learn in starts
+            contenders = {
+                run.label: run.current_objective()
+                for run in runs
+                if not run.pruned
+            }
+            leader = min(contenders.values())
+            for run in runs:
+                if run.active and contenders[run.label] > leader + margin:
+                    run.prune()
+    advance(config.max_outer_iter)
+    return [
+        ([run.outcome() for run in runs], schedule if len(runs) > 1 else [])
+        for runs in groups
     ]
-    checkpoints = prune_schedule(config) if len(runs) > 1 else []
-    dedup_points = dedup_schedule(config, dedup_interval) if len(runs) > 1 else []
-    # one merged event stream; at a shared iteration dedup fires first
-    # (kind 0) so the prune comparison never ranks a known clone
-    events = sorted(
-        [(iteration, 0, None) for iteration in dedup_points]
-        + [(iteration, 1, margin) for iteration, margin in checkpoints]
-    )
-    tolerance_schedule = [
-        (
-            iteration,
-            dedup_tolerance(
-                iteration, config.max_outer_iter, dedup_tol, dedup_tol_start
-            ),
-        )
-        for iteration in dedup_points
-    ]
-    tolerance_at = dict(tolerance_schedule)
-    merges: list[dict] = []
-    for iteration, kind, margin in events:
-        for run in runs:
-            if run.active:
-                run.step_until(iteration)
-        if kind == 0:
-            merges.extend(
-                _apply_dedup(runs, tolerance_at[iteration], config.max_outer_iter)
-            )
-            continue
-        contenders = {
-            run.label: run.current_objective()
-            for run in runs
-            if not run.pruned
-        }
-        leader = min(contenders.values())
-        for run in runs:
-            if run.active and contenders[run.label] > leader + margin:
-                run.prune()
-    freed = sum(merge["freed"] for merge in merges)
-    survivors = [run for run in runs if run.active]
-    extension = 0
-    if freed and survivors:
-        extension = min(freed // len(survivors), config.max_outer_iter)
-        for run in survivors:
-            run.max_iterations = config.max_outer_iter + extension
-    for run in runs:
-        if run.active:
-            run.step_until(run.max_iterations)
-    outcomes = [run.outcome() for run in runs]
-    best = select_best(outcomes)
-    dedup_info = {
-        "tolerance": dedup_tol,
-        "tolerance_start": dedup_tol_start,
-        "tolerance_schedule": tolerance_schedule,
-        "checkpoints": dedup_points,
-        "merges": merges,
-        "freed_iterations": freed,
-        "extension": extension,
-    }
-    return runs, outcomes, best, checkpoints, dedup_info
 
 
 def portfolio_phase_timings(runs: list[RestartRun], basis_seconds: float) -> dict:
-    """The per-phase timing dict both portfolio-shaped backends emit."""
+    """The per-phase timing dict of one pair's restart group."""
     return {
         "basis_build": basis_seconds,
         "alpha_update": sum(r.timings["alpha_update"] for r in runs),
@@ -567,13 +439,13 @@ def select_best(outcomes: list[RunOutcome]) -> RunOutcome:
 def portfolio_result(
     backend: str,
     outcomes: list[RunOutcome],
-    best: RunOutcome,
-    k: int,
     checkpoints: list[tuple[int, float]],
+    k: int,
     phase_timings: dict,
     runtime: float,
 ) -> AlignmentResult:
-    """Assemble the :class:`AlignmentResult` both dense backends share."""
+    """Assemble the :class:`AlignmentResult` of one restart group."""
+    best = select_best(outcomes)
     return AlignmentResult(
         plan=best.plan,
         runtime=runtime,

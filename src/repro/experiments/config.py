@@ -56,16 +56,14 @@ class ExperimentScale:
     ``dataset_scale`` shrinks the stand-in datasets; ``fast`` trims
     iteration counts of the slower baselines.  ``engine_backend``
     selects the dense solver backend every SLOTAlign variant routes
-    through (``fused-dense`` / ``batched-restart`` — outputs are
-    bitwise-identical, so the choice is purely a wall-clock knob).
+    through (default ``fused-dense``).
     ``decoder`` selects the decode stage every sweep/table evaluation
     routes its plans through (a registered decoder name); ``None``
     scores the raw posterior, which is the paper's protocol and
     bitwise-identical to the pre-decode-stage pipeline.
     ``precision`` sets the solve-stage working precision
-    (``"float32"`` routes to the reduced-precision fast backends;
-    expect Hit@1 parity within the documented band, not bitwise
-    equality).
+    (``"float32"`` steps ``fused-dense`` in reduced precision; expect
+    Hit@1 parity within the documented band, not bitwise equality).
     """
 
     dataset_scale: float = 0.07

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import argparse
 
-from repro.engine import ensure_decoder, ensure_dense_backend, ensure_precision
+from repro.engine import (
+    ensure_backend_precision,
+    ensure_decoder,
+    ensure_dense_backend,
+)
 from repro.eval.fidelity import (
     format_fidelity,
     record_decoders,
@@ -56,7 +60,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backend", default="fused-dense",
         help="dense engine backend for every SLOTAlign solve "
-        "(fused-dense / batched-restart; outputs are bitwise-identical)",
+        "(see `repro engine --list-backends`)",
     )
     parser.add_argument(
         "--decoder", default=None,
@@ -67,14 +71,14 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--precision", choices=("float64", "float32"), default="float64",
         help="solve-stage working precision for every SLOTAlign solve; "
-        "float32 routes to the reduced-precision fast backends",
+        "float32 steps fused-dense in reduced precision",
     )
     args = parser.parse_args(argv)
     try:
         # the experiment drivers run whole-pair dense solves; this also
         # names the valid choices on unknown names (no bare KeyError)
         ensure_dense_backend(args.backend, "the experiment runner")
-        ensure_precision(args.precision)
+        ensure_backend_precision(args.backend, args.precision)
         if args.decoder is not None:
             ensure_decoder(args.decoder)
     except ConfigError as exc:

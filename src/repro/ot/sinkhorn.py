@@ -298,8 +298,8 @@ def sinkhorn_log_kernel_fast_batched(
     the 2-D code, elementwise ops are order-independent, and slices
     whose marginal error converges early are compressed out of the
     batch without perturbing the survivors (a sliced copy is exact).
-    That contract is what lets the ``batched-restart`` solver backend
-    replace the serial restart loop without changing a single iterate;
+    That contract is what lets the coalesced multi-pair solve step
+    stacked restarts without changing a single iterate;
     ``tests/test_batched_restart.py`` pins it.
     """
     log_k = np.asarray(log_kernels, dtype=np.float64)
@@ -426,11 +426,10 @@ def sinkhorn_log_kernel_fast_workspace(
     per-slice L1 column errors, all-slices-converged)``; a slice counts
     as converged only when a tolerance check froze it.
 
-    .. note:: **bitwise-pinned** — the ``fused-dense-f32`` /
-       ``batched-f32`` / ``threaded-restart`` equivalence contract and
-       the precision benchmark baselines depend on this exact
-       instruction sequence; register divergent variants under a new
-       backend name instead of editing it.
+    .. note:: **bitwise-pinned** — the solo ↔ coalesced float32
+       equivalence contract and the precision benchmark baselines
+       depend on this exact instruction sequence; register divergent
+       variants under a new backend name instead of editing it.
     """
     r = int(n_slices)
     if not 1 <= r <= workspace.capacity:

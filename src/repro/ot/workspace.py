@@ -145,9 +145,7 @@ class WorkspaceArena:
     ``lease`` hands the calling thread its own :class:`Workspace`,
     creating or regrowing it when the requested ``(n_runs, n, m,
     dtype)`` does not fit the one it already holds.  Because the key is
-    the thread identity, two threads can never observe the same buffer
-    — the arena is the structural no-aliasing guarantee the threaded
-    restart strategy builds on.
+    the thread identity, two threads can never observe the same buffer.
     """
 
     def __init__(self):

@@ -172,9 +172,9 @@ class DivideAndConquerAligner:
         ``DivideAndConquerAligner`` with one part stays equivalent to
         plain SLOTAlign).
     solver_backend:
-        Dense engine backend used for every block solve
-        (``"fused-dense"`` or ``"batched-restart"``; block results are
-        bitwise-identical across backends, like the executors).
+        Dense engine backend used for every block solve (default
+        ``"fused-dense"``; block results are bitwise-identical across
+        executors).
     """
 
     def __init__(

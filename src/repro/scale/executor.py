@@ -59,9 +59,8 @@ def align_block(
     """Solve one block pair through the alignment engine.
 
     Top-level so process pools can pickle it.  ``backend`` selects the
-    dense solver backend per block (``batched-restart`` amortises each
-    block's restart portfolio into stacked GEMMs; results are
-    bitwise-identical across backends, like the executors).
+    dense solver backend per block; results are bitwise-identical
+    across executors.
     """
     from repro.engine.pipeline import align_pair
 

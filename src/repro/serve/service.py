@@ -12,10 +12,10 @@ the heavy lifting:
   cache by default), so repeated or content-equal pairs pay kernel
   construction once, across jobs and across workers (the cache's
   single-flight discipline absorbs concurrent misses);
-* **batch coalescing** — a worker that dequeues a job also drains the
-  queued jobs *compatible* with it (identical config, identical plan
-  shape, dense backend) and solves them as one stacked
-  ``(B·R, n, m)`` lockstep batch via
+* **batch coalescing** — on a ``fused-dense`` service, a worker that
+  dequeues a job also drains the queued jobs *compatible* with it
+  (identical config, precision and plan shape) and solves them as one
+  stacked ``(B·R, n, m)`` lockstep batch via
   :func:`~repro.engine.coalesce.solve_coalesced`.  Coalescing is pure
   scheduling: every pair's plan stays bit-for-bit identical to a
   direct :class:`~repro.engine.AlignmentEngine` run;
@@ -38,13 +38,15 @@ import time
 import numpy as np
 
 from repro.core.config import SLOTAlignConfig
-from repro.engine.backends import DEFAULT_BACKEND, backend_kind, get_backend
-from repro.engine.coalesce import solve_coalesced
-from repro.engine.precision import (
-    DEFAULT_PRECISION,
-    backend_for_precision,
-    ensure_precision,
+from repro.engine.backends import (
+    DEFAULT_BACKEND,
+    ensure_backend_precision,
+    ensure_classical_problem,
+    get_backend,
+    partial_backends,
 )
+from repro.engine.coalesce import solve_coalesced
+from repro.engine.precision import DEFAULT_PRECISION
 from repro.engine.decode import ensure_decoder, get_decoder
 from repro.engine.evaluate import evaluate_alignment
 from repro.engine.pipeline import EngineRun
@@ -76,9 +78,12 @@ class AlignmentService:
         Default :class:`SLOTAlignConfig` for jobs submitted without an
         explicit one.
     backend:
-        Solver backend for solo (non-coalesced) solves.  Coalescing
-        requires a dense backend; with a sparse backend the service
-        degrades to solo solves.
+        Solver backend for solo (non-coalesced) solves.  A coalesced
+        batch solves balanced transport exactly as ``fused-dense``
+        does, so only a ``fused-dense`` service coalesces; any other
+        backend degrades to solo solves.  A service over a balanced
+        backend fails a job whose config asks for partial transport in
+        its plan stage, alone.
     cache:
         :class:`PlanCache` shared by every job.  Defaults to the
         process-wide shared cache; pass ``None`` to disable caching.
@@ -133,14 +138,14 @@ class AlignmentService:
         )
         self.policy = policy or AdmissionPolicy()
         self.workers = workers
-        self.coalesce = coalesce and backend_kind(backend) == "dense"
+        # fail a bad backend/precision combination at construction, not
+        # in a worker thread mid-solve
+        self.precision = ensure_backend_precision(backend, precision)
+        self.coalesce = coalesce and backend == DEFAULT_BACKEND
+        self._classical = backend not in partial_backends()
         self.max_batch = max_batch
         self.evaluate_ks = tuple(evaluate_ks)
         self.decoder = ensure_decoder(decoder) if decoder is not None else None
-        self.precision = ensure_precision(precision).name
-        # fail a bad backend/precision combination at construction, not
-        # in a worker thread mid-solve
-        backend_for_precision(backend, self.precision)
         self._queue = JobQueue()
         self._decoder_lock = threading.Lock()
         # decoder instances are stateless but construction goes through
@@ -219,13 +224,11 @@ class AlignmentService:
         job already in state ``REJECTED`` (with ``error`` naming the
         violated budget) and never enters the queue.  ``decoder`` and
         ``precision`` override the service defaults for this job only;
-        unknown names (or a backend/precision combination with no
-        route) fail *here*, synchronously, with the registry's
-        choice-naming error.
+        unknown names (or a precision the backend lacks) fail *here*,
+        synchronously, with the registry's choice-naming error.
         """
         if precision is not None:
-            precision = ensure_precision(precision).name
-            backend_for_precision(self.backend, precision)
+            precision = ensure_backend_precision(self.backend, precision)
         job = Job(
             source=source,
             target=target,
@@ -319,6 +322,10 @@ class AlignmentService:
                     init_plan=job.init_plan,
                     cache=self.cache,
                 )
+                if self._classical:
+                    # a partial job must fail alone, never be solved
+                    # as balanced transport inside a coalesced batch
+                    ensure_classical_problem(problem, self.backend)
                 problem.bases  # force basis construction through the cache
                 # validate the initial coupling now: a malformed init
                 # plan must fail this job alone, not the whole batch
@@ -344,10 +351,7 @@ class AlignmentService:
                     self._counters["coalesced_pairs"] += len(planned)
             else:
                 [(job, problem, _)] = planned
-                name, extra = backend_for_precision(
-                    self.backend, batch_precision
-                )
-                backend = get_backend(name, **extra)
+                backend = get_backend(self.backend, precision=batch_precision)
                 results = [backend.solve(problem)]
                 with self._stats_lock:
                     self._counters["solo_pairs"] += 1

@@ -1,13 +1,15 @@
-"""Bitwise contract of the ``batched-restart`` solver backend.
+"""Bitwise contract of the float64 stacked step.
 
-The batched backend runs the entire multi-start portfolio as one
-stacked-tensor lockstep solve.  Per DESIGN.md's bitwise policy it must
-reproduce the serial ``fused-dense`` portfolio **bit for bit** — not
-approximately: chaotic GW iterations amplify one-ulp differences to
-visible plan changes, so anything short of equality would make the
-backend choice a semantic one.  These property tests sweep seeds, view
-counts, annealing/portfolio regimes and early-stopping behaviour and
-compare entire trajectories, not just final plans.
+The stacked step (``engine/batched.py``) advances restarts as one
+``(R, n, m)`` lockstep; it serves the coalesced multi-pair solve.  Per
+DESIGN.md's bitwise policy a pair solved through
+``solve_coalesced([problem])`` must reproduce the serial ``fused-dense``
+portfolio **bit for bit** — not approximately: chaotic GW iterations
+amplify one-ulp differences to visible plan changes, so anything short
+of equality would make the solve path a semantic choice.  These
+property tests sweep seeds, view counts, annealing/portfolio regimes
+and early-stopping behaviour and compare entire trajectories, not just
+final plans.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 from repro.core import SLOTAlignConfig
 from repro.datasets import make_semi_synthetic_pair
+from repro.engine import solve_coalesced
 from repro.engine.pipeline import AlignmentEngine
 from repro.graphs import stochastic_block_model
 from repro.graphs.features import community_bag_of_words
@@ -35,13 +38,12 @@ def bench_pair(seed=0, n_per_block=11):
 
 
 def solve_both(config, source, target, init_plan=None):
-    serial = AlignmentEngine(config, backend="fused-dense", cache=None).align(
-        source, target, init_plan=init_plan
+    engine = AlignmentEngine(config, backend="fused-dense", cache=None)
+    serial = engine.align(source, target, init_plan=init_plan)
+    [stacked] = solve_coalesced(
+        [engine.plan(source, target, init_plan=init_plan)]
     )
-    batched = AlignmentEngine(
-        config, backend="batched-restart", cache=None
-    ).align(source, target, init_plan=init_plan)
-    return serial, batched
+    return serial, stacked
 
 
 def assert_identical(serial, batched):

@@ -71,8 +71,10 @@ class TestEngineCommand:
     def test_list_backends(self, capsys):
         assert main(["engine", "--list-backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("fused-dense", "batched-restart", "sparse"):
-            assert name in out
+        names = [line.split()[0] for line in out.splitlines()]
+        assert names == [
+            "fused-dense", "partial-dummy", "partial-unbalanced", "sparse",
+        ]
 
     def test_engine_requires_dataset_without_list(self):
         with pytest.raises(SystemExit, match="dataset"):
@@ -83,12 +85,13 @@ class TestEngineCommand:
             [
                 "engine", "cora",
                 "--scale", "0.02", "--iters", "20",
-                "--backend", "batched-restart",
+                "--precision", "float32",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "backend  batched-restart" in out
+        assert "backend  fused-dense" in out
+        assert "precision float32" in out
         for stage in ("plan", "solve", "evaluate"):
             assert stage in out
         assert "hits@1" in out
@@ -110,6 +113,10 @@ class TestEngineCommand:
         with pytest.raises(SystemExit, match="valid backends.*fused-dense"):
             main(["engine", "cora", "--backend", "tpu"])
 
+    def test_float32_on_a_backend_without_it_names_fused_dense(self):
+        with pytest.raises(SystemExit, match="no float32 variant.*fused-dense"):
+            main(["engine", "cora", "--backend", "sparse", "--precision", "float32"])
+
     def test_unknown_method_names_choices(self):
         with pytest.raises(SystemExit, match="valid methods.*slotalign"):
             main(["align", "cora", "--method", "does-not-exist"])
@@ -119,7 +126,7 @@ class TestEngineCommand:
             [
                 "align", "cora",
                 "--scale", "0.02", "--iters", "20",
-                "--backend", "batched-restart",
+                "--backend", "partial-dummy",
             ]
         )
         assert code == 0
@@ -138,7 +145,7 @@ class TestEngineCommand:
         with pytest.raises(SystemExit, match="only applies"):
             main(
                 ["align", "cora", "--method", "knn",
-                 "--backend", "batched-restart"]
+                 "--backend", "partial-dummy"]
             )
 
 

@@ -3,7 +3,7 @@
 Covers the three-stage pipeline contract, the content-keyed plan
 cache, the solver-backend registry (including the choice-naming error
 messages) and the representation-agnostic evaluate adapter.  The
-batched-vs-serial bitwise contract has its own module
+stacked-vs-serial bitwise contract has its own module
 (``tests/test_batched_restart.py``).
 """
 
@@ -45,8 +45,10 @@ def bench_pair(seed=0, n_per_block=12):
 class TestRegistry:
     def test_builtin_backends_registered(self):
         backends = available_backends()
-        for name in ("fused-dense", "batched-restart", "sparse"):
-            assert name in backends
+        assert sorted(backends) == [
+            "fused-dense", "partial-dummy", "partial-unbalanced", "sparse",
+        ]
+        for name in backends:
             assert backends[name]  # has a description
 
     def test_unknown_backend_names_choices(self):
@@ -216,47 +218,6 @@ class TestEvaluateAdapter:
         assert set(report) == {"hits@1", "hits@5", "mrr"}
 
 
-class TestDeprecatedScalabilityShim:
-    def test_import_warns_and_reexports(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.core.scalability", None)
-        with pytest.warns(DeprecationWarning, match="repro.scale"):
-            module = importlib.import_module("repro.core.scalability")
-        from repro.scale.aligner import DivideAndConquerAligner
-
-        assert module.DivideAndConquerAligner is DivideAndConquerAligner
-
-    def test_warning_points_at_the_import_site(self):
-        """The deprecation must blame the caller's import, not the
-        import machinery — ``importlib.import_module`` included (its
-        frame is *not* natively skipped by ``warnings``)."""
-        import importlib
-        import sys
-        import warnings
-        from pathlib import Path
-
-        for importer in (
-            lambda: importlib.import_module("repro.core.scalability"),
-            lambda: __import__("repro.core.scalability"),
-        ):
-            sys.modules.pop("repro.core.scalability", None)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                importer()
-            locations = [
-                warning
-                for warning in caught
-                if issubclass(warning.category, DeprecationWarning)
-                and "repro.scale" in str(warning.message)
-            ]
-            assert locations, "shim import did not warn"
-            assert (
-                Path(locations[0].filename).resolve() == Path(__file__).resolve()
-            ), f"warning blamed {locations[0].filename}"
-
-
 class TestDenseBackendGuards:
     def test_slotalign_rejects_sparse_backend_upfront(self):
         pair = bench_pair()
@@ -274,7 +235,7 @@ class TestDenseBackendGuards:
         from repro.engine import backend_kind, dense_backends
 
         assert backend_kind("fused-dense") == "dense"
-        assert backend_kind("batched-restart") == "dense"
+        assert backend_kind("partial-dummy") == "dense"
         assert backend_kind("sparse") == "sparse"
         assert "sparse" not in dense_backends()
         with pytest.raises(ConfigError, match="valid backends"):

@@ -1,8 +1,9 @@
-"""Golden regression fixtures: stitched plan + solver trajectory.
+"""Golden regression fixtures: stitched plan + solver trajectories.
 
 The invariant tests pin *properties*; these pin *values*: a seeded
-60-node pair's stitched partition plan and the solver's iterate
-trajectory are compared against committed known-good artefacts under
+60-node pair's stitched partition plan, the solver's iterate
+trajectory, and the trajectories and plans of the partial and float32
+solve paths are compared against committed known-good artefacts under
 ``tests/goldens/``.  A solver refactor that claims bitwise/tolerance
 faithfulness (like PR 1's fused objective or this PR's executor) now
 diffs against the actual plans it must preserve, not only against
@@ -15,6 +16,7 @@ After an **intentional** numerical change, regenerate with::
 and commit the refreshed ``.npz`` files with the change explaining them.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,12 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core import SLOTAlign, SLOTAlignConfig
-from repro.datasets import make_semi_synthetic_pair
+from repro.datasets import (
+    PartialPairSpec,
+    make_partial_pair,
+    make_semi_synthetic_pair,
+)
+from repro.engine import AlignmentEngine
 from repro.graphs import stochastic_block_model
 from repro.graphs.features import community_bag_of_words
 from repro.scale import DivideAndConquerAligner
@@ -40,14 +47,24 @@ GOLDEN_CFG = SLOTAlignConfig(
 )
 
 
-def golden_pair():
-    """The seeded 60-node pair every golden is generated from."""
+def golden_graph():
+    """The seeded 60-node base graph every golden is generated from."""
     graph = stochastic_block_model([15] * 4, 0.5, 0.01, seed=1)
     feats = community_bag_of_words(
         graph.node_labels, 80, words_per_node=20, seed=2
     )
-    graph = graph.with_features(feats)
-    return make_semi_synthetic_pair(graph, seed=3)
+    return graph.with_features(feats)
+
+
+def golden_pair():
+    """The seeded 60-node bijective pair."""
+    return make_semi_synthetic_pair(golden_graph(), seed=3)
+
+
+def golden_partial_pair():
+    """Overlap-0.8 pair of the same graph, a fifth of its truth as anchors."""
+    spec = PartialPairSpec(overlap=0.8, anchor_fraction=0.2)
+    return make_partial_pair(golden_graph(), spec, seed=3)
 
 
 def _save_plan(path: Path, plan: sp.csr_array) -> None:
@@ -133,3 +150,57 @@ class TestTrajectoryGolden:
         with_hook = solver.fit(pair.source, pair.target, bases=bases)
         without = SLOTAlign(GOLDEN_CFG).fit(pair.source, pair.target)
         np.testing.assert_array_equal(with_hook.plan, without.plan)
+
+
+class TestSolvePathGoldens:
+    """The solve paths beside the balanced float64 reference.
+
+    Each case pins the selected restart's trajectory and the returned
+    plan of one engine solve: the dummy-sink reduction with slack and
+    anchors, the KL-relaxed projection with anchors, and ``fused-dense``
+    stepped in float32.  A float32 trajectory is vendor-sensitive at
+    float32 resolution, hence its wider band.
+    """
+
+    CASES = {
+        "partial_dummy_60": ("partial-dummy", "float64", ATOL),
+        "partial_unbalanced_60": ("partial-unbalanced", "float64", ATOL),
+        "fused_dense_float32_60": ("fused-dense", "float32", 1e-6),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_solve_path_matches_golden(self, case, update_goldens):
+        backend, precision, atol = self.CASES[case]
+        anchors = None
+        if backend.startswith("partial"):
+            pair = golden_partial_pair()
+            anchors = pair.anchors
+            cfg = replace(
+                GOLDEN_CFG, partial_mass=float(pair.source_matchable.mean())
+            )
+        else:
+            pair, cfg = golden_pair(), GOLDEN_CFG
+        engine = AlignmentEngine(
+            cfg, backend=backend, cache=None, precision=precision
+        )
+        result = engine.align(pair.source, pair.target, anchors=anchors)
+        history = result.extras["history"]
+        current = {
+            "objective_values": np.asarray(history.objective_values),
+            "alpha_deltas": np.asarray(history.alpha_deltas),
+            "plan_deltas": np.asarray(history.plan_deltas),
+            "plan": np.asarray(result.plan),
+        }
+        path = GOLDEN_DIR / f"{case}.npz"
+        if update_goldens:
+            GOLDEN_DIR.mkdir(exist_ok=True)
+            np.savez_compressed(path, **current)
+            pytest.skip("golden regenerated")
+        assert path.exists(), "missing golden fixture; run with --update-goldens"
+        golden = np.load(path)
+        for key, series in current.items():
+            np.testing.assert_allclose(
+                series, golden[key], atol=atol, rtol=0,
+                err_msg=f"{case} ({key}) drifted from golden; regenerate "
+                "with --update-goldens if intentional",
+            )

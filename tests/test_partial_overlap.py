@@ -250,23 +250,29 @@ class TestClassicalGuards:
         assert set(partial_backends()) == {"partial-dummy", "partial-unbalanced"}
         assert get_backend("partial-dummy").kind == "dense"
 
-    @pytest.mark.parametrize("backend", ["fused-dense", "batched-restart"])
-    def test_classical_backend_refuses_partial_mass(self, backend):
+    @pytest.mark.parametrize(
+        "precision", ["float64", "float32"],
+        ids=["fused-dense", "float32"],
+    )
+    def test_classical_backend_refuses_partial_mass(self, precision):
         pair = make_partial_pair(
             base_graph(), PartialPairSpec(overlap=0.8), seed=0
         )
         cfg = replace(FAST, partial_mass=0.8)
-        engine = AlignmentEngine(cfg, backend=backend, cache=None)
+        engine = AlignmentEngine(cfg, cache=None, precision=precision)
         with pytest.raises(ConfigError, match="partial-dummy"):
             engine.align(pair.source, pair.target)
 
-    @pytest.mark.parametrize("backend", ["fused-dense", "batched-restart"])
-    def test_classical_backend_refuses_anchors(self, backend):
+    @pytest.mark.parametrize(
+        "precision", ["float64", "float32"],
+        ids=["fused-dense", "float32"],
+    )
+    def test_classical_backend_refuses_anchors(self, precision):
         pair = make_partial_pair(
             base_graph(), PartialPairSpec(overlap=0.8, anchor_fraction=0.3),
             seed=0,
         )
-        engine = AlignmentEngine(FAST, backend=backend, cache=None)
+        engine = AlignmentEngine(FAST, cache=None, precision=precision)
         with pytest.raises(ConfigError, match="anchor"):
             engine.align(pair.source, pair.target, anchors=pair.anchors)
 

@@ -1,16 +1,15 @@
-"""Property tests for the opt-in float32 solve mode (PR 10).
+"""Property tests for the opt-in float32 solve mode of ``fused-dense``.
 
 Three contracts keep reduced precision honest:
 
-* **routing** — ``precision="float64"`` is the identity (requests
-  reach the bitwise-pinned reference backends untouched), while
-  ``"float32"`` routes to the separately-registered ``*-f32``
-  backends, erroring with the choice-naming message on backends that
-  have no reduced-precision variant;
-* **equivalence** — the float32 serial, batched, threaded and
-  coalesced schedules are all bitwise-identical to each other (the
-  per-slice GEMM/Sinkhorn contracts), so scheduling never compounds
-  the precision change;
+* **selection** — ``precision="float64"`` is every backend's default
+  and reaches the bitwise-pinned reference path untouched, while
+  ``"float32"`` is an option of ``fused-dense`` alone; every other
+  backend refuses it with the choice-naming message;
+* **equivalence** — a solo float32 solve and the same pair inside a
+  coalesced float32 batch are bitwise-identical (the per-slice
+  GEMM/Sinkhorn contracts), so scheduling never compounds the
+  precision change;
 * **parity** — float32 tracks the float64 reference within the
   documented Hit@1/MRR band on seeded pairs, and the final plan is
   always returned re-cast to float64 with float64 objective values.
@@ -24,8 +23,10 @@ from repro.datasets import make_semi_synthetic_pair
 from repro.engine import (
     AlignmentEngine,
     DEFAULT_PRECISION,
-    backend_for_precision,
+    available_backends,
+    ensure_backend_precision,
     ensure_precision,
+    get_backend,
     solve_coalesced,
 )
 from repro.engine.precision import (
@@ -85,29 +86,23 @@ class TestPrecisionModel:
     def test_precision_dtype_is_not_part_of_the_repr(self):
         assert "dtype" not in repr(SolverPrecision("x", np.dtype("f4"), 0.0))
 
-    def test_float64_routing_is_the_identity(self):
-        for backend in ("fused-dense", "batched-restart", "sparse",
-                        "fused-dense-dedup", "threaded-restart"):
-            assert backend_for_precision(backend, "float64") == (backend, {})
+    def test_float64_is_every_backends_precision(self):
+        for backend in available_backends():
+            assert ensure_backend_precision(backend, "float64") == "float64"
+
+    def test_fused_dense_takes_float32(self):
+        assert ensure_backend_precision("fused-dense", FLOAT32) == "float32"
+        assert get_backend("fused-dense", precision="float32").precision is FLOAT32
+        assert get_backend("fused-dense").precision is FLOAT64
 
     @pytest.mark.parametrize(
-        "requested,expected",
-        [
-            ("fused-dense", ("batched-f32", {})),
-            ("batched-restart", ("batched-f32", {})),
-            ("batched-f32", ("batched-f32", {})),
-            ("fused-dense-f32", ("fused-dense-f32", {})),
-            ("threaded-restart", ("threaded-restart", {"precision": "float32"})),
-        ],
+        "backend", ["sparse", "partial-dummy", "partial-unbalanced"]
     )
-    def test_float32_routing_table(self, requested, expected):
-        assert backend_for_precision(requested, "float32") == expected
-
-    def test_float32_route_for_unrouted_backend_names_the_routable(self):
-        with pytest.raises(ConfigError, match="batched-f32"):
-            backend_for_precision("sparse", "float32")
-        with pytest.raises(ConfigError):
-            backend_for_precision("fused-dense-dedup", "float32")
+    def test_float32_on_a_backend_without_it_names_fused_dense(self, backend):
+        with pytest.raises(ConfigError, match="no float32 variant.*fused-dense"):
+            ensure_backend_precision(backend, "float32")
+        with pytest.raises(ConfigError, match="no float32 variant"):
+            get_backend(backend, precision="float32")
 
 
 class TestEngineRouting:
@@ -121,10 +116,10 @@ class TestEngineRouting:
         assert routed.extras["backend"] == "fused-dense"
         assert "precision" not in routed.extras
 
-    def test_float32_routes_to_the_fast_batched_backend(self):
+    def test_float32_runs_fused_dense_in_float32(self):
         pair = bench_pair(seed=0)
         result = solve(pair, precision="float32")
-        assert result.extras["backend"] == "batched-f32"
+        assert result.extras["backend"] == "fused-dense"
         assert result.extras["precision"] == "float32"
         assert result.plan.dtype == np.float64  # outcomes are re-cast
         assert np.all(np.isfinite(result.plan))
@@ -133,47 +128,24 @@ class TestEngineRouting:
         with pytest.raises(ConfigError):
             AlignmentEngine(FAST, precision="float16")
 
-    def test_unrouted_backend_with_float32_fails_at_solve(self):
+    def test_backend_without_float32_fails_at_solve(self):
         pair = bench_pair(seed=0)
         engine = AlignmentEngine(
-            FAST, backend="fused-dense-dedup", cache=None,
+            FAST, backend="partial-unbalanced", cache=None,
             precision="float32",
         )
         with pytest.raises(ConfigError, match="no float32 variant"):
             engine.align(pair.source, pair.target)
 
-    def test_explicit_backend_options_win_over_route_extras(self):
-        """threaded-restart under float32 gets its precision from the
-        route; an explicit option must not be silently overridden."""
+    def test_explicit_backend_options_win_over_engine_precision(self):
         pair = bench_pair(seed=1)
-        result = solve(
-            pair, backend="threaded-restart", precision="float32",
-        )
+        result = solve(pair, backend_options={"precision": "float32"})
         assert result.extras["precision"] == "float32"
-        assert result.extras["backend"] == "threaded-restart"
+        assert result.extras["backend"] == "fused-dense"
 
 
 class TestFloat32Equivalence:
-    """All float32 schedules produce the same bits."""
-
-    def test_serial_and_batched_f32_are_bitwise_equal(self):
-        pair = bench_pair(seed=0)
-        serial = solve(pair, backend="fused-dense-f32")
-        batched = solve(pair, backend="batched-f32")
-        np.testing.assert_array_equal(serial.plan, batched.plan)
-        assert serial.extras["objective"] == batched.extras["objective"]
-        assert (
-            serial.extras["selected_start"] == batched.extras["selected_start"]
-        )
-
-    def test_threaded_f32_is_bitwise_the_serial_f32(self):
-        pair = bench_pair(seed=0)
-        serial = solve(pair, backend="fused-dense-f32")
-        threaded = solve(
-            pair, backend="threaded-restart",
-            backend_options={"precision": "float32", "max_workers": 2},
-        )
-        np.testing.assert_array_equal(serial.plan, threaded.plan)
+    """Solo and coalesced float32 solves produce the same bits."""
 
     def test_coalesced_f32_matches_single_pair_solves(self):
         """Heterogeneous float32 batches keep the per-slice bitwise
@@ -183,8 +155,10 @@ class TestFloat32Equivalence:
         problems = [engine.plan(p.source, p.target) for p in pairs]
         results = solve_coalesced(problems, precision="float32")
         for pair, result in zip(pairs, results):
-            solo = solve(pair, backend="batched-f32")
+            solo = solve(pair, precision="float32")
             np.testing.assert_array_equal(result.plan, solo.plan)
+            assert result.extras["objective"] == solo.extras["objective"]
+            assert result.extras["portfolio"] == solo.extras["portfolio"]
             assert result.extras["precision"] == "float32"
             assert result.extras["backend"] == "coalesced"
 

@@ -8,6 +8,7 @@ surface.
 """
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,6 +239,56 @@ class TestCoalescing:
         assert "plan failed" in bad.error
         for pair, job in zip(pairs, good):
             assert job.state is JobState.DONE
+            np.testing.assert_array_equal(
+                job.result.result.plan, direct_plan(pair)
+            )
+
+
+class TestPartialJobsInService:
+    """Coalescing must never turn a partial job into balanced transport."""
+
+    PARTIAL = replace(FAST, partial_mass=0.8)
+
+    @pytest.mark.parametrize("backend", ["partial-dummy", "partial-unbalanced"])
+    def test_partial_service_solves_queued_jobs_with_its_backend(self, backend):
+        pairs = [bench_pair(seed=s) for s in range(2)]
+        service = AlignmentService(
+            self.PARTIAL, backend=backend, cache=PlanCache(), workers=1,
+            max_batch=8,
+        )
+        jobs = [service.submit(p.source, p.target) for p in pairs]
+        with service:
+            assert wait_all(jobs, timeout=120)
+        for pair, job in zip(pairs, jobs):
+            assert job.state is JobState.DONE
+            assert job.batch_size == 1
+            result = job.result.result
+            assert result.extras["backend"] == backend
+            assert result.extras["partial"]["mass"] == 0.8
+            direct = AlignmentEngine(
+                self.PARTIAL, backend=backend, cache=None
+            ).align(pair.source, pair.target)
+            np.testing.assert_array_equal(result.plan, direct.plan)
+        assert service.stats()["coalesced_batches"] == 0
+
+    def test_partial_jobs_on_a_fused_dense_service_fail_alone(self):
+        pairs = [bench_pair(seed=s) for s in range(4)]
+        service = AlignmentService(
+            FAST, cache=PlanCache(), workers=1, max_batch=8
+        )
+        good = [service.submit(p.source, p.target) for p in pairs[:2]]
+        bad = [
+            service.submit(p.source, p.target, config=self.PARTIAL)
+            for p in pairs[2:]
+        ]
+        with service:
+            assert wait_all(good + bad, timeout=120)
+        for job in bad:
+            assert job.state is JobState.FAILED
+            assert "partial_mass=0.8" in job.error
+        for pair, job in zip(pairs, good):
+            assert job.state is JobState.DONE
+            assert job.batch_size == 2
             np.testing.assert_array_equal(
                 job.result.result.plan, direct_plan(pair)
             )
