@@ -32,9 +32,11 @@ The gate fails (exit 1) when
   no runner-speed excuse can explain away), or
 * the ``partial`` cohort is missing, its overlap=1.0 zero-anchor
   ``partial-dummy`` point drifted from the full-bijective
-  ``fused-dense`` reference (the delegation is bitwise), or its
+  ``fused-dense`` reference (the delegation is bitwise), its
   unanchored Hit@1 curve stopped being monotone non-increasing in
-  overlap (within ``--partial-tolerance``), or
+  overlap (within ``--partial-tolerance``), or a committed
+  ``partial-unbalanced`` point lost Hit@1, MRR or detection F1, or
+  moved its matched mass, by more than 1e-9, or
 * the ``decoders`` cohort is missing, lacks one of the four
   registered decoders on some pair, or no longer has at least two
   pairs where a one-to-one decoder improves Hit@1 or MRR over
@@ -328,7 +330,9 @@ def check_fidelity(current_dir: Path):
             )
 
 
-def check_partial(current_dir: Path, tolerance: float = 10.0):
+def check_partial(
+    baseline_dir: Path, current_dir: Path, tolerance: float = 10.0
+):
     """Yield failure messages for the partial-overlap cohort.
 
     The cohort (written by ``benchmarks/test_partial_bench.py``) must
@@ -337,7 +341,8 @@ def check_partial(current_dir: Path, tolerance: float = 10.0):
     delegation is bitwise — any drift means the partial plumbing
     touched the classical path), and the unanchored Hit@1 curve must
     be monotone non-increasing (within ``tolerance``) as overlap
-    drops.
+    drops.  Every ``partial-unbalanced`` point of the committed cohort
+    is then gated by :func:`check_unbalanced_points`.
     """
     fresh = load(current_dir / "BENCH_fidelity.json")
     if fresh is None:
@@ -390,6 +395,54 @@ def check_partial(current_dir: Path, tolerance: float = 10.0):
                 f"{higher['overlap']} Hit@1 {higher['hits@1']:.2f} "
                 f"by more than {tolerance}"
             )
+    yield from check_unbalanced_points(baseline_dir, points)
+
+
+def check_unbalanced_points(baseline_dir: Path, points: list):
+    """Yield failures for ``partial-unbalanced`` points off their baseline.
+
+    These points are the fidelity evidence for the KL-relaxed projection
+    kernel, so each committed one must reappear with its ``hits@1``,
+    ``mrr`` and ``detection.f1`` no more than 1e-9 lower and its
+    ``matched_mass`` within 1e-9 either way (the goldens' band: the
+    solve is deterministic, so any larger move is a numeric change).
+    """
+    band = 1e-9
+    baseline = load(baseline_dir / "BENCH_fidelity.json")
+    committed = (baseline or {}).get("partial", {}).get("points")
+    if not committed:
+        print("note: no baseline partial cohort; skipping its unbalanced gate")
+        return
+
+    def unbalanced(cohort):
+        return {
+            (p["overlap"], p.get("anchor_fraction", 0.0)): p
+            for p in cohort if p.get("backend") == "partial-unbalanced"
+        }
+
+    fresh = unbalanced(points)
+    for key, base in sorted(unbalanced(committed).items()):
+        label = f"partial-unbalanced overlap {key[0]} anchors {key[1]}"
+        point = fresh.get(key)
+        if point is None:
+            yield f"{label}: point missing from the fresh partial cohort"
+            continue
+        print(
+            f"{label}: Hit@1 {point['hits@1']:.4f} "
+            f"(committed {base['hits@1']:.4f}), matched mass "
+            f"{point['matched_mass']:.12f} "
+            f"(committed {base['matched_mass']:.12f})"
+        )
+        for name, old, new in (
+            ("hits@1", base["hits@1"], point["hits@1"]),
+            ("mrr", base["mrr"], point["mrr"]),
+            ("detection.f1", base["detection"]["f1"], point["detection"]["f1"]),
+        ):
+            if new < old - band:
+                yield f"{label}: {name} fell from {old!r} to {new!r}"
+        old, new = base["matched_mass"], point["matched_mass"]
+        if abs(new - old) > band:
+            yield f"{label}: matched_mass moved from {old!r} to {new!r}"
 
 
 def check_decoders(current_dir: Path, min_improved: int = 2):
@@ -469,7 +522,10 @@ def main(argv=None) -> int:
         *check_serve(args.baseline_dir, args.current_dir, args.max_slowdown),
         *check_scale(args.baseline_dir, args.current_dir, args.max_slowdown),
         *check_fidelity(args.current_dir),
-        *check_partial(args.current_dir, tolerance=args.partial_tolerance),
+        *check_partial(
+            args.baseline_dir, args.current_dir,
+            tolerance=args.partial_tolerance,
+        ),
         *check_decoders(args.current_dir),
     ]
     for failure in failures:

@@ -21,9 +21,11 @@ silently replaced):
   ``tests/test_partial_overlap.py``).
 * ``partial-unbalanced`` — KL-relaxed marginals (Chizat et al. 2018):
   the π-update's balanced Sinkhorn projection is swapped for the
-  log-domain generalised scaling
+  generalised scaling
   :func:`repro.ot.unbalanced.sinkhorn_unbalanced_log_kernel` with
-  strength ``partial_rho``; marginals are scaled to total mass
+  strength ``partial_rho`` (log-domain potentials, a kernel
+  exponentiated once and re-exponentiated only on absorption);
+  marginals are scaled to total mass
   ``partial_mass`` so the soft constraint pulls the plan toward the
   requested overlap.  Mass conservation is soft — a node's shortfall
   against its (scaled) marginal is its unmatchable score.
@@ -111,7 +113,11 @@ def unbalanced_projection(offset: np.ndarray | None):
     ``η`` — the proximal coefficient the log kernel was built with — is
     handed to the unbalanced scaling as its entropic ``epsilon`` (the
     kernel *is* ``exp(log π_k − ∇F/η)``), so the scaling exponent
-    ``ρ/(ρ+η)`` anneals together with the proximal schedule.
+    ``ρ/(ρ+η)`` anneals together with the proximal schedule.  The
+    scaling exponentiates the max-pinned kernel once per absorption and
+    iterates with matvecs; the run's marginals are ``partial_mass``
+    times the uniform ones, so never zero, as its log-domain potentials
+    require.
     """
 
     def project(run, log_kernel: np.ndarray, eta: float) -> np.ndarray:

@@ -34,7 +34,10 @@ class SinkhornResult:
     marginal_error:
         Final L1 violation of the row marginal — of the column marginal
         for the fast kernels, whose closing u-update makes the rows
-        exact.
+        exact.  The unbalanced kernels (``repro.ot.unbalanced``) report
+        the KL-relaxed fixed-point residual instead, ``max |u − u_fixed|``
+        (``max |f − f_fixed|`` in potential space for the log kernel):
+        their marginals are soft by design.
     converged:
         Whether the tolerance was met before the iteration cap.
     """

@@ -125,6 +125,50 @@ class TestCheckScale:
         assert _failures(baseline, fresh) == []
 
 
+def _partial_failures(tmp_path, mutate=None):
+    """check_partial of the committed cohort against a mutated copy."""
+    committed = json.loads((REPO_ROOT / "BENCH_fidelity.json").read_text())
+    baseline = tmp_path / "base"
+    baseline.mkdir()
+    (baseline / "BENCH_fidelity.json").write_text(json.dumps(committed))
+    if mutate is not None:
+        mutate(
+            [
+                p for p in committed["partial"]["points"]
+                if p["backend"] == "partial-unbalanced"
+            ]
+        )
+    current = tmp_path / "current"
+    current.mkdir()
+    (current / "BENCH_fidelity.json").write_text(json.dumps(committed))
+    return list(compare_bench.check_partial(baseline, current))
+
+
+class TestCheckPartialUnbalanced:
+    """The partial-unbalanced points are the fidelity evidence for the
+    KL-relaxed projection kernel: a fresh cohort must keep each
+    committed point's accuracy and its matched mass."""
+
+    def test_committed_cohort_passes_against_itself(self, tmp_path):
+        assert _partial_failures(tmp_path) == []
+
+    def test_one_point_hit1_drop_fails(self, tmp_path):
+        def drop(points):
+            points[2]["hits@1"] -= 1.0
+
+        failures = _partial_failures(tmp_path, drop)
+        assert len(failures) == 1
+        assert "partial-unbalanced" in failures[0] and "hits@1" in failures[0]
+
+    def test_matched_mass_shift_fails(self, tmp_path):
+        def shift(points):
+            points[0]["matched_mass"] += 1e-6
+
+        failures = _partial_failures(tmp_path, shift)
+        assert len(failures) == 1
+        assert "matched_mass" in failures[0]
+
+
 class TestGateWiring:
     def test_check_scale_wired_into_main(self, tmp_path, capsys):
         """main() must actually call check_scale — a regression that

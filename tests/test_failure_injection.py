@@ -8,7 +8,11 @@ from repro.baselines import KNNAligner
 from repro.core import SLOTAlign, SLOTAlignConfig
 from repro.exceptions import ConvergenceError, GraphError, ReproError
 from repro.graphs import AttributedGraph, erdos_renyi_graph, permute_graph
-from repro.ot import proximal_gromov_wasserstein, sinkhorn_log_kernel_fast
+from repro.ot import (
+    proximal_gromov_wasserstein,
+    sinkhorn_log_kernel_fast,
+    sinkhorn_unbalanced_log_kernel,
+)
 
 FAST = SLOTAlignConfig(
     n_bases=2, max_outer_iter=30, sinkhorn_iter=30, track_history=False
@@ -88,6 +92,55 @@ class TestNumericalPoison:
         result = proximal_gromov_wasserstein(zero, zero, max_iter=10)
         # uniform coupling is optimal and must be returned intact
         np.testing.assert_allclose(result.plan, 1.0 / 36, atol=1e-9)
+
+
+class TestUnbalancedLogKernelInputs:
+    """Degenerate inputs of the KL-relaxed projection behind the
+    partial-unbalanced backend: invalid input is named as such, and
+    only a kernel that leaves a node no finite entry diverges."""
+
+    @pytest.mark.parametrize("side", ["mu", "nu"])
+    def test_zero_mass_atom_is_rejected_by_name(self, side):
+        log_kernel = np.random.default_rng(4).normal(size=(4, 5))
+        marginals = {"mu": np.full(4, 0.25), "nu": np.full(5, 0.2)}
+        marginals[side][1] = 0.0
+        with pytest.raises(ValueError, match=side):
+            sinkhorn_unbalanced_log_kernel(
+                log_kernel, marginals["mu"], marginals["nu"], epsilon=0.1
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_inf_entry_is_reported_as_non_finite(self, bad):
+        log_kernel = np.zeros((3, 3))
+        log_kernel[1, 2] = bad
+        mu = np.full(3, 1 / 3)
+        with pytest.raises(
+            ConvergenceError, match="log kernel contains non-finite entries"
+        ):
+            sinkhorn_unbalanced_log_kernel(log_kernel, mu, mu, epsilon=0.1)
+
+    def test_single_neg_inf_entry_is_a_zero_mass_cell(self):
+        log_kernel = np.random.default_rng(8).normal(scale=5.0, size=(4, 4))
+        log_kernel[2, 1] = -np.inf
+        mu = np.full(4, 0.25)
+        result = sinkhorn_unbalanced_log_kernel(
+            log_kernel, mu, mu, epsilon=0.1, max_iter=50, tol=1e-12
+        )
+        assert np.all(np.isfinite(result.plan))
+        assert result.plan[2, 1] == 0.0
+        assert result.plan.sum() > 0
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_neg_inf_row_or_column_diverges(self, axis):
+        log_kernel = np.zeros((3, 4))
+        if axis == 0:
+            log_kernel[1, :] = -np.inf
+        else:
+            log_kernel[:, 2] = -np.inf
+        with pytest.raises(ConvergenceError):
+            sinkhorn_unbalanced_log_kernel(
+                log_kernel, np.full(3, 1 / 3), np.full(4, 0.25), epsilon=0.1
+            )
 
 
 class TestErrorHierarchy:

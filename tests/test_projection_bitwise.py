@@ -10,7 +10,10 @@ iteration count and error must stay what the code computed before.
 The ``_ref_*`` functions below are copies of that earlier code (every
 entry exponentiated, nothing floored).  The balanced-kernel copies
 report the column-marginal error and the in-loop convergence flag, the
-reporting the kernels use now.  Hypothesis draws log kernels whose
+reporting the kernels use now.  ``_ref_unbalanced`` is the log-domain
+loop the KL-relaxed kernel replaced by an exponentiate-once scaling;
+that kernel sums in a different order, so it is held to fixed
+tolerances instead of bits.  Hypothesis draws log kernels whose
 row-shifted entries straddle every band edge of ``np.exp``:
 
 * float64: -745.2 (result underflows to zero), -708.4 (subnormal
@@ -23,7 +26,7 @@ row-shifted entries straddle every band edge of ``np.exp``:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ot import sinkhorn_log
@@ -244,6 +247,7 @@ def _same(a, b):
 OFFSETS64 = (0.0, 17.25, -350.5, 1200.0)
 OFFSETS32 = (0.0, 5.5, -40.25)
 kernels64 = band_kernels(EDGES64, JITTER64, OFFSETS64)
+DEEP_COLUMN = np.array([[[0.0, -1113.735], [0.0, -708.2], [0.0, -1110.413]]])
 budgets = st.tuples(st.sampled_from((1, 7, 20, 40)), st.sampled_from((0.0, 1e-9, 1e-3)))
 
 
@@ -370,14 +374,20 @@ class TestLogDomain:
             _same(out, _ref_lse_unbalanced(matrix))
         assert np.isneginf(out[np.isneginf(matrix).all(axis=1)]).all()
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         kernels64,
-        st.sampled_from((1, 5, 12)),
-        st.sampled_from((0.0, 1e-6)),
-        st.sampled_from((0.01, 0.3)),
+        st.sampled_from((1, 5, 12, 30)),
+        st.sampled_from((0.0, 1e-6, 1e-9)),
+        st.sampled_from((0.01, 0.05, 0.3, 0.5)),
     )
+    # a column more than 708 nats below every row's maximum: a kernel
+    # normalised by row maxima alone loses its plan entry (7.2e-4)
+    @example(DEEP_COLUMN, 1, 0.0, 0.01)
     def test_unbalanced_matches_reference(self, stack, max_iter, tol, epsilon):
+        """The exponentiate-once kernel against the log-domain loop:
+        summation order differs, so plans and residuals agree within
+        fixed tolerances and the iteration counts and flags exactly."""
         log_kernel = stack[0]
         log_kernel = log_kernel - log_kernel.max()
         mu, nu = _marginals(*log_kernel.shape, uniform=False)
@@ -385,9 +395,9 @@ class TestLogDomain:
             log_kernel, mu, nu, epsilon, rho=1.0, max_iter=max_iter, tol=tol
         )
         ref = _ref_unbalanced(log_kernel, mu, nu, epsilon, 1.0, max_iter, tol)
-        _same(fast.plan, ref.plan)
+        np.testing.assert_allclose(fast.plan, ref.plan, rtol=0, atol=1e-12)
+        assert abs(fast.marginal_error - ref.marginal_error) <= 1e-10
         assert fast.n_iterations == ref.n_iterations
-        assert fast.marginal_error == ref.marginal_error
         assert fast.converged == ref.converged
 
     @settings(max_examples=40, deadline=None)
