@@ -1,20 +1,17 @@
 """Reverse-mode autodiff substrate (PyTorch stand-in for baselines)."""
 
-from repro.autodiff.tensor import Tensor, concatenate, stack_rows
-from repro.autodiff.module import Module, Parameter, Linear, Sequential
-from repro.autodiff.optim import Optimizer, SGD, Adam
+from repro.autodiff.tensor import Tensor, concatenate
+from repro.autodiff.module import Module, Parameter, Linear
+from repro.autodiff.optim import Optimizer, Adam
 from repro.autodiff import functional
 
 __all__ = [
     "Tensor",
     "concatenate",
-    "stack_rows",
     "Module",
     "Parameter",
     "Linear",
-    "Sequential",
     "Optimizer",
-    "SGD",
     "Adam",
     "functional",
 ]

@@ -70,15 +70,3 @@ class Linear(Module):
         if self.bias is not None:
             out = out + self.bias
         return out
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *layers: Module):
-        self.layers = list(layers)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x

@@ -23,28 +23,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters, lr: float = 0.01, momentum: float = 0.0):
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, vel in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            vel *= self.momentum
-            vel -= self.lr * param.grad
-            param.data += vel
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba 2015) with bias correction."""
 

@@ -356,8 +356,3 @@ def concatenate(tensors, axis: int = 0) -> Tensor:
         out._parents = tuple(tensors)
         out._backward = backward
     return out
-
-
-def stack_rows(tensor: Tensor, indices) -> Tensor:
-    """Differentiable fancy row indexing (embedding lookup)."""
-    return tensor[np.asarray(indices, dtype=np.int64)]

@@ -18,7 +18,6 @@ from repro.datasets.kg import KnowledgeGraph, random_knowledge_graph
 from repro.datasets.dbp15k import load_dbp15k, SUBSETS
 from repro.datasets.registry import (
     load_graph_dataset,
-    load_pair_dataset,
     available_datasets,
     GRAPH_LOADERS,
     PAIR_LOADERS,
@@ -43,7 +42,6 @@ __all__ = [
     "load_dbp15k",
     "SUBSETS",
     "load_graph_dataset",
-    "load_pair_dataset",
     "available_datasets",
     "GRAPH_LOADERS",
     "PAIR_LOADERS",

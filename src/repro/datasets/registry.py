@@ -37,17 +37,6 @@ def load_graph_dataset(name: str, **kwargs):
     return loader(**kwargs)
 
 
-def load_pair_dataset(name: str, **kwargs):
-    """Load one of the graph-pair stand-ins by name."""
-    try:
-        loader = PAIR_LOADERS[name]
-    except KeyError:
-        raise DatasetError(
-            f"unknown pair dataset {name!r}; available: {sorted(PAIR_LOADERS)}"
-        ) from None
-    return loader(**kwargs)
-
-
 def available_datasets() -> dict[str, list[str]]:
     """Catalogue of everything loadable."""
     return {

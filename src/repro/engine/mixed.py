@@ -23,7 +23,10 @@ Precision split (what stays float64)
 Everything plan-shaped — the transported products, the plan gradient,
 the log kernel and the Sinkhorn projection
 (:func:`~repro.ot.sinkhorn.sinkhorn_log_kernel_fast_workspace`) — runs
-in float32 through ``out=``-targeted calls into workspace buffers.
+in float32 through ``out=``-targeted calls into workspace buffers.  The
+stepper owns that one workspace: it is sized to the solve's runs and
+loaded with its marginals at construction, and no other solve or
+thread touches it.
 
 Equivalence contract
 --------------------
@@ -47,7 +50,7 @@ from repro.engine.restarts import eta_schedule
 from repro.exceptions import ConvergenceError
 from repro.ot.simplex import project_concatenated_simplices
 from repro.ot.sinkhorn import _flush_constants, sinkhorn_log_kernel_fast_workspace
-from repro.ot.workspace import WorkspaceArena
+from repro.ot.workspace import Workspace
 
 
 class _MixedLockstep:
@@ -55,8 +58,9 @@ class _MixedLockstep:
     objects whose plan buffers are float32.
 
     One instance per solve, sized to its number of runs.  Every scratch
-    array comes from a workspace leased from the arena; phase timings
-    are charged to the runs in equal shares.
+    array comes from the one :class:`~repro.ot.workspace.Workspace`
+    built here with the solve's marginals loaded; phase timings are
+    charged to the runs in equal shares.
     """
 
     def __init__(
@@ -75,7 +79,8 @@ class _MixedLockstep:
         self.n = self.mu.shape[0]
         self.m = self.nu.shape[0]
         self.capacity = max(1, int(capacity))
-        self.arena = WorkspaceArena()
+        self.workspace = Workspace(self.capacity, self.n, self.m, self.dtype)
+        self.workspace.set_marginals(self.mu, self.nu)
         self.sinkhorn_tol = self.precision.effective_sinkhorn_tol(
             config.sinkhorn_tol
         )
@@ -93,8 +98,7 @@ class _MixedLockstep:
         """
         cfg = self.config
         r = len(active)
-        ws = self.arena.lease(self.capacity, self.n, self.m, self.dtype)
-        ws.set_marginals(self.mu, self.nu)
+        ws = self.workspace
         t0 = time.perf_counter()
         plans = ws.plans[:r]
         for i, run in enumerate(active):

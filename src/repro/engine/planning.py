@@ -335,6 +335,9 @@ class PreparedProblem:
     )
 
     def __post_init__(self) -> None:
+        for side, graph in (("source", self.source), ("target", self.target)):
+            if graph.n_nodes == 0:
+                raise GraphError(f"{side} graph has no nodes")
         if self.anchors is not None:
             anchors = np.asarray(self.anchors, dtype=np.int64).reshape(-1, 2)
             if anchors.size:

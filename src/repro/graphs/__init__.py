@@ -3,7 +3,6 @@
 from repro.graphs.graph import AttributedGraph
 from repro.graphs.generators import (
     erdos_renyi_graph,
-    barabasi_albert_graph,
     powerlaw_cluster_graph,
     watts_strogatz_graph,
     stochastic_block_model,
@@ -13,7 +12,6 @@ from repro.graphs.normalization import (
     symmetric_normalize,
     row_normalize,
     add_self_loops,
-    degree_matrix,
 )
 from repro.graphs.permutation import (
     permutation_matrix,
@@ -26,7 +24,6 @@ from repro.graphs.perturbation import (
     permute_features,
     truncate_features,
     compress_features,
-    add_feature_noise,
     drop_edges,
 )
 from repro.graphs.partition import (
@@ -36,7 +33,6 @@ from repro.graphs.partition import (
     adjacent_parts,
     edge_cut_fraction,
 )
-from repro.graphs.io import save_graph, load_graph
 from repro.graphs.statistics import (
     average_degree,
     density,
@@ -51,7 +47,6 @@ from repro.graphs.statistics import (
 __all__ = [
     "AttributedGraph",
     "erdos_renyi_graph",
-    "barabasi_albert_graph",
     "powerlaw_cluster_graph",
     "watts_strogatz_graph",
     "stochastic_block_model",
@@ -59,7 +54,6 @@ __all__ = [
     "symmetric_normalize",
     "row_normalize",
     "add_self_loops",
-    "degree_matrix",
     "permutation_matrix",
     "permute_graph",
     "ground_truth_from_permutation",
@@ -68,15 +62,12 @@ __all__ = [
     "permute_features",
     "truncate_features",
     "compress_features",
-    "add_feature_noise",
     "drop_edges",
     "partition_assignment",
     "cut_edges",
     "boundary_nodes",
     "adjacent_parts",
     "edge_cut_fraction",
-    "save_graph",
-    "load_graph",
     "average_degree",
     "density",
     "clustering_coefficient",

@@ -73,28 +73,6 @@ def degree_correlated_features(
     return feats
 
 
-def latent_position_features(
-    n_nodes: int,
-    n_features: int,
-    n_latent: int = 16,
-    noise: float = 0.1,
-    seed=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Latent positions + a random linear readout.
-
-    Returns ``(latent, features)``.  The bilingual KG simulator encodes
-    the *same* latent entity twice through *different* readouts to get
-    informative-but-unaligned cross-lingual features.
-    """
-    if min(n_nodes, n_features, n_latent) < 1:
-        raise GraphError("n_nodes, n_features and n_latent must be positive")
-    rng = check_random_state(seed)
-    latent = rng.standard_normal((n_nodes, n_latent))
-    readout = rng.standard_normal((n_latent, n_features)) / np.sqrt(n_latent)
-    features = latent @ readout + noise * rng.standard_normal((n_nodes, n_features))
-    return latent, features
-
-
 def random_orthogonal_matrix(dim: int, seed=None) -> np.ndarray:
     """Haar-random orthogonal matrix via QR of a Gaussian matrix."""
     if dim < 1:
@@ -104,14 +82,3 @@ def random_orthogonal_matrix(dim: int, seed=None) -> np.ndarray:
     q, r = np.linalg.qr(gauss)
     # fix signs so the distribution is Haar rather than QR-skewed
     return q * np.sign(np.diag(r))
-
-
-def pca_project(features: np.ndarray, n_components: int) -> np.ndarray:
-    """Project centred features onto the top principal components."""
-    feats = np.asarray(features, dtype=np.float64)
-    n_components = min(n_components, min(feats.shape))
-    if n_components < 1:
-        raise GraphError("n_components must be positive")
-    centered = feats - feats.mean(axis=0, keepdims=True)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    return centered @ vt[:n_components].T

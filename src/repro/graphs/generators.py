@@ -1,10 +1,10 @@
 """Random-graph topology generators.
 
 These provide the structural substrates for the dataset stand-ins:
-citation networks are modelled with power-law-cluster graphs, social
-networks with Barabási–Albert / power-law-cluster graphs, PPI with a
-dense stochastic block model, and knowledge graphs with degree-skewed
-multi-relational topologies (see :mod:`repro.datasets.kg`).
+citation and social networks are modelled with power-law-cluster
+graphs, PPI with a dense stochastic block model, and knowledge graphs
+with degree-skewed multi-relational topologies (see
+:mod:`repro.datasets.kg`).
 
 All generators are seeded and return edge lists consumed by
 :class:`repro.graphs.AttributedGraph`.
@@ -27,29 +27,6 @@ def erdos_renyi_graph(n_nodes: int, p: float, seed=None, name="er") -> Attribute
     iu, ju = np.triu_indices(n_nodes, k=1)
     mask = rng.random(iu.shape[0]) < p
     edges = np.column_stack([iu[mask], ju[mask]])
-    return AttributedGraph.from_edges(n_nodes, edges, name=name)
-
-
-def barabasi_albert_graph(
-    n_nodes: int, n_attach: int, seed=None, name="ba"
-) -> AttributedGraph:
-    """Preferential-attachment graph: each new node attaches to ``n_attach``."""
-    if n_attach < 1 or n_attach >= n_nodes:
-        raise GraphError(f"n_attach must be in [1, n_nodes), got {n_attach}")
-    rng = check_random_state(seed)
-    edges: list[tuple[int, int]] = []
-    # repeated-nodes list implements degree-proportional sampling
-    repeated: list[int] = list(range(n_attach))
-    for new in range(n_attach, n_nodes):
-        targets: set[int] = set()
-        while len(targets) < n_attach:
-            pick = repeated[rng.integers(0, len(repeated))] if repeated else int(
-                rng.integers(0, new)
-            )
-            targets.add(pick)
-        for t in targets:
-            edges.append((new, t))
-            repeated.extend([new, t])
     return AttributedGraph.from_edges(n_nodes, edges, name=name)
 
 

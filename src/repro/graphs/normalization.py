@@ -50,10 +50,3 @@ def row_normalize(matrix: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
     norms = np.where(norms < eps, 1.0, norms)
     return arr / norms
-
-
-def degree_matrix(adjacency) -> np.ndarray:
-    """Diagonal of the degree matrix as a vector."""
-    if sp.issparse(adjacency):
-        return np.asarray(adjacency.sum(axis=1)).ravel()
-    return np.asarray(adjacency).sum(axis=1)

@@ -146,24 +146,6 @@ def compress_features(
     return out
 
 
-def add_feature_noise(
-    graph: AttributedGraph, scale: float, seed=None
-) -> AttributedGraph:
-    """Add i.i.d. Gaussian noise of the given scale to the features.
-
-    Not one of the paper's three simulators, but used by the noisy
-    real-world pair generators to model measurement error.
-    """
-    _check_has_features(graph)
-    if scale < 0:
-        raise GraphError(f"scale must be non-negative, got {scale}")
-    rng = check_random_state(seed)
-    noisy = graph.features + scale * rng.standard_normal(graph.features.shape)
-    out = graph.with_features(noisy)
-    out.name = f"{graph.name}-noisyfeat"
-    return out
-
-
 def inject_nodes(
     graph: AttributedGraph, n_new: int, seed=None
 ) -> AttributedGraph:

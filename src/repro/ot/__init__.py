@@ -14,9 +14,8 @@ from repro.ot.sinkhorn import (
     sinkhorn_projection,
     transport_cost,
 )
-from repro.ot.exact import emd, emd_cost, wasserstein_1d
+from repro.ot.exact import emd, emd_cost
 from repro.ot.unbalanced import (
-    partial_wasserstein,
     sinkhorn_unbalanced,
     sinkhorn_unbalanced_log_kernel,
 )
@@ -26,8 +25,6 @@ from repro.ot.gromov import (
     gw_gradient,
     gw_objective,
     proximal_gromov_wasserstein,
-    entropic_gromov_wasserstein,
-    gromov_wasserstein_distance,
 )
 from repro.ot.fused import fused_gromov_wasserstein, feature_cost_matrix
 from repro.ot.matching import (
@@ -50,17 +47,13 @@ __all__ = [
     "transport_cost",
     "emd",
     "emd_cost",
-    "wasserstein_1d",
     "sinkhorn_unbalanced",
     "sinkhorn_unbalanced_log_kernel",
-    "partial_wasserstein",
     "GWResult",
     "gw_constant_term",
     "gw_gradient",
     "gw_objective",
     "proximal_gromov_wasserstein",
-    "entropic_gromov_wasserstein",
-    "gromov_wasserstein_distance",
     "fused_gromov_wasserstein",
     "feature_cost_matrix",
     "argmax_matching",

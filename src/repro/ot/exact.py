@@ -1,9 +1,7 @@
 """Exact (unregularised) optimal transport via linear programming.
 
-``emd`` solves the Kantorovich LP with scipy's HiGHS backend.  It is
-used by the Wasserstein-discriminator baseline (WAlign) for its 1-D
-critic distances and by tests as a ground truth for Sinkhorn with
-ε → 0.
+``emd`` solves the Kantorovich LP with scipy's HiGHS backend.  Tests
+use it as a ground truth for Sinkhorn with ε → 0.
 """
 
 from __future__ import annotations
@@ -65,24 +63,3 @@ def emd_cost(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
     """Optimal transport cost (Wasserstein objective value)."""
     plan = emd(cost, mu, nu)
     return float(np.sum(plan * np.asarray(cost, dtype=np.float64)))
-
-
-def wasserstein_1d(x: np.ndarray, y: np.ndarray, p: int = 1) -> float:
-    """p-Wasserstein distance between two 1-D empirical distributions.
-
-    Uses the closed form: sort both samples and average the pointwise
-    distance between quantiles (samples are reweighted to a common
-    uniform grid when sizes differ).
-    """
-    xs = np.sort(np.asarray(x, dtype=np.float64).ravel())
-    ys = np.sort(np.asarray(y, dtype=np.float64).ravel())
-    if xs.size == 0 or ys.size == 0:
-        raise ShapeError("wasserstein_1d requires non-empty samples")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    grid = np.linspace(0.0, 1.0, max(xs.size, ys.size), endpoint=False) + 0.5 / max(
-        xs.size, ys.size
-    )
-    xq = np.quantile(xs, grid)
-    yq = np.quantile(ys, grid)
-    return float(np.mean(np.abs(xq - yq) ** p) ** (1.0 / p))

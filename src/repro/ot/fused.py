@@ -15,15 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ShapeError
-from repro.ot.gromov import (
-    GWResult,
-    _ensure_ot_precision,
-    _proximal_project_f32,
-    gw_constant_term,
-    gw_objective,
-)
+from repro.ot.gromov import GWResult, _prepare, gw_constant_term, gw_objective
 from repro.ot.sinkhorn import sinkhorn_log_kernel_fast
-from repro.utils.validation import check_probability_vector, check_square
 
 
 def feature_cost_matrix(
@@ -70,7 +63,6 @@ def fused_gromov_wasserstein(
     inner_iter: int = 50,
     tol: float = 1e-7,
     init: np.ndarray | None = None,
-    precision: str = "float64",
 ) -> GWResult:
     """KL-proximal solver for the fused GW objective.
 
@@ -81,70 +73,43 @@ def fused_gromov_wasserstein(
     alpha:
         Structure/feature trade-off; ``alpha=1`` recovers pure GW,
         ``alpha=0`` a pure (linear) Wasserstein problem.
-    precision:
-        ``"float32"`` (opt-in) runs the per-iteration gradient and
-        Sinkhorn projection in float32 through a preallocated
-        workspace; objective history stays float64 (see
-        :func:`repro.ot.gromov.proximal_gromov_wasserstein`).
+
+    ``d_source``, ``d_target``, ``mu``, ``nu`` and ``init`` are checked
+    as :func:`repro.ot.gromov.proximal_gromov_wasserstein` checks them.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if step_size <= 0:
         raise ValueError(f"step_size must be positive, got {step_size}")
-    use_f32 = _ensure_ot_precision(precision)
+    d_source, d_target, mu, nu, plan = _prepare(d_source, d_target, mu, nu, init)
     feature_cost = np.asarray(feature_cost, dtype=np.float64)
-    d_source = np.asarray(check_square(d_source, "d_source"), dtype=np.float64)
-    d_target = np.asarray(check_square(d_target, "d_target"), dtype=np.float64)
-    n, m = d_source.shape[0], d_target.shape[0]
-    if feature_cost.shape != (n, m):
+    if feature_cost.shape != plan.shape:
         raise ShapeError(
-            f"feature_cost must have shape {(n, m)}, got {feature_cost.shape}"
+            f"feature_cost must have shape {plan.shape}, got {feature_cost.shape}"
         )
-    mu = np.full(n, 1.0 / n) if mu is None else check_probability_vector(mu, n, "mu")
-    nu = np.full(m, 1.0 / m) if nu is None else check_probability_vector(nu, m, "nu")
-    plan = np.outer(mu, nu) if init is None else np.asarray(init, dtype=np.float64)
+    # renormalised even though _prepare's plan is a coupling already:
+    # the uniform start's bits depend on this division
     plan = plan / plan.sum()
     constant = gw_constant_term(d_source, d_target, mu, nu)
-    workspace = ds32 = dt32 = const32 = cost32 = None
-    if use_f32:
-        # imported lazily: repro.ot.workspace is only needed on this path
-        from repro.ot.workspace import Workspace
-
-        workspace = Workspace(1, n, m, np.float32)
-        workspace.set_marginals(mu, nu)
-        ds32 = np.ascontiguousarray(d_source, np.float32)
-        dt32 = np.ascontiguousarray(d_target, np.float32)
-        const32 = constant.astype(np.float32)
-        cost32 = feature_cost.astype(np.float32)
-        plan = plan.astype(np.float32)
     history: list[float] = []
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        if use_f32:
-            gw_grad = 2.0 * (const32 - 2.0 * ds32 @ plan @ dt32.T)
-            grad = np.float32(1.0 - alpha) * cost32 + np.float32(alpha) * gw_grad
-            new_plan = _proximal_project_f32(
-                workspace, plan, grad, step_size, inner_iter
-            ).copy()
-        else:
-            gw_grad = 2.0 * (constant - 2.0 * d_source @ plan @ d_target.T)
-            grad = (1.0 - alpha) * feature_cost + alpha * gw_grad
-            # KL-proximal step with coefficient eta = step_size
-            log_kernel = np.log(np.maximum(plan, 1e-300)) - grad / step_size
-            new_plan = sinkhorn_log_kernel_fast(
-                log_kernel, mu, nu, max_iter=inner_iter, tol=1e-9
-            ).plan
+        gw_grad = 2.0 * (constant - 2.0 * d_source @ plan @ d_target.T)
+        grad = (1.0 - alpha) * feature_cost + alpha * gw_grad
+        # KL-proximal step with coefficient eta = step_size
+        log_kernel = np.log(np.maximum(plan, 1e-300)) - grad / step_size
+        new_plan = sinkhorn_log_kernel_fast(
+            log_kernel, mu, nu, max_iter=inner_iter, tol=1e-9
+        ).plan
         delta = float(np.abs(new_plan - plan).sum())
         plan = new_plan
-        plan64 = plan.astype(np.float64) if use_f32 else plan
-        value = (1.0 - alpha) * float(np.sum(feature_cost * plan64)) + alpha * (
-            gw_objective(d_source, d_target, plan64, constant=constant)
+        value = (1.0 - alpha) * float(np.sum(feature_cost * plan)) + alpha * (
+            gw_objective(d_source, d_target, plan, constant=constant)
         )
         history.append(value)
         if delta < tol:
             converged = True
             break
-    plan = plan.astype(np.float64) if use_f32 else plan
     distance = history[-1] if history else 0.0
     return GWResult(plan, distance, iteration, converged, history)

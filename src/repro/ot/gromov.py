@@ -10,13 +10,10 @@ loss, the GW gradient tensor contracts as
     L(Ds, Dt) ⊗ π = c_{Ds,Dt} − 2 · Ds π Dtᵀ
     c_{Ds,Dt}     = (Ds∘Ds) μ 1ᵀ + 1 νᵀ (Dt∘Dt)ᵀ
 
-Two solvers are provided:
-
-* :func:`entropic_gromov_wasserstein` — mirror descent with entropic
-  regularisation (Solomon et al. 2016 style);
-* :func:`proximal_gromov_wasserstein` — KL-proximal point iterations
-  (Xu et al. 2019, the GWD baseline; also SLOTAlign's π-update when the
-  structure weights are frozen).
+The solver is :func:`proximal_gromov_wasserstein`, float64
+KL-proximal point iterations (Xu et al. 2019): the GWD baseline, and
+SLOTAlign's π-update when the structure weights are frozen.
+:mod:`repro.ot.fused` adds a feature cost to the same iteration.
 """
 
 from __future__ import annotations
@@ -26,13 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import ConvergenceError, ShapeError
-from repro.ot.sinkhorn import (
-    F32_SINKHORN_TOL,
-    _flush_constants,
-    sinkhorn_log,
-    sinkhorn_log_kernel_fast,
-    sinkhorn_log_kernel_fast_workspace,
-)
+from repro.ot.sinkhorn import sinkhorn_log_kernel_fast
 from repro.utils.validation import check_probability_vector, check_square
 
 
@@ -128,34 +119,6 @@ def _prepare(d_source, d_target, mu, nu, init):
     return d_source, d_target, mu, nu, plan
 
 
-def _ensure_ot_precision(precision: str) -> bool:
-    """Validate an OT-solver ``precision`` knob; True means float32."""
-    if precision not in ("float64", "float32"):
-        raise ValueError(
-            f"precision must be 'float64' or 'float32', got {precision!r}"
-        )
-    return precision == "float32"
-
-
-def _proximal_project_f32(workspace, plan32, grad32, step_size, inner_iter):
-    """One float32 KL-proximal Sinkhorn projection through a workspace.
-
-    Writes ``log(max(plan, tiny)) − grad/η`` into the workspace's
-    single log-kernel slice and runs the allocation-free stacked
-    kernel; returns the projected plan slice (owned by the workspace —
-    callers copy out).
-    """
-    _, tiny = _flush_constants(workspace.dtype)
-    log_kernel = workspace.log_kernel[0]
-    np.maximum(plan32, tiny, out=log_kernel)
-    np.log(log_kernel, out=log_kernel)
-    log_kernel -= grad32 / np.float32(step_size)
-    sinkhorn_log_kernel_fast_workspace(
-        workspace, 1, max_iter=inner_iter, tol=F32_SINKHORN_TOL
-    )
-    return workspace.new_plans[0]
-
-
 def proximal_gromov_wasserstein(
     d_source: np.ndarray,
     d_target: np.ndarray,
@@ -166,7 +129,6 @@ def proximal_gromov_wasserstein(
     inner_iter: int = 50,
     tol: float = 1e-7,
     init: np.ndarray | None = None,
-    precision: str = "float64",
 ) -> GWResult:
     """KL-proximal-point GW solver (Xu et al. 2019).
 
@@ -175,88 +137,23 @@ def proximal_gromov_wasserstein(
     projection of ``π_k ⊙ exp(-∇F / η)`` — the same update as
     SLOTAlign's Eq. (12).  ``step_size`` is the proximal coefficient η
     (smaller = more aggressive steps); the paper operates at 0.01.
-
-    ``precision="float32"`` (opt-in) runs the per-iteration gradient
-    and Sinkhorn projection in float32 through a preallocated
-    workspace, with the inner tolerance floored at
-    :data:`~repro.ot.sinkhorn.F32_SINKHORN_TOL`; objective history and
-    the returned distance are always evaluated in float64.
     """
     if step_size <= 0:
         raise ValueError(f"step_size must be positive, got {step_size}")
-    use_f32 = _ensure_ot_precision(precision)
-    d_source, d_target, mu, nu, plan = _prepare(d_source, d_target, mu, nu, init)
-    constant = gw_constant_term(d_source, d_target, mu, nu)
-    workspace = ds32 = dt32 = const32 = None
-    if use_f32:
-        # imported lazily: repro.ot.workspace is only needed on this path
-        from repro.ot.workspace import Workspace
-
-        workspace = Workspace(1, plan.shape[0], plan.shape[1], np.float32)
-        workspace.set_marginals(mu, nu)
-        ds32 = np.ascontiguousarray(0.5 * (d_source + d_source.T), np.float32)
-        dt32 = np.ascontiguousarray(0.5 * (d_target + d_target.T), np.float32)
-        const32 = constant.astype(np.float32)
-        plan = plan.astype(np.float32)
-    history: list[float] = []
-    converged = False
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
-        if use_f32:
-            grad = 2.0 * (const32 - 2.0 * ds32 @ plan @ dt32.T)
-            new_plan = _proximal_project_f32(
-                workspace, plan, grad, step_size, inner_iter
-            ).copy()
-        else:
-            grad = gw_gradient(d_source, d_target, plan, constant=constant)
-            log_kernel = np.log(np.maximum(plan, 1e-300)) - grad / step_size
-            result = sinkhorn_log_kernel_fast(
-                log_kernel, mu, nu, max_iter=inner_iter, tol=1e-9
-            )
-            new_plan = result.plan
-        if not np.all(np.isfinite(new_plan)):
-            raise ConvergenceError("GW proximal iterate became non-finite")
-        delta = float(np.abs(new_plan - plan).sum())
-        plan = new_plan
-        plan64 = plan.astype(np.float64) if use_f32 else plan
-        history.append(gw_objective(d_source, d_target, plan64, constant=constant))
-        if delta < tol:
-            converged = True
-            break
-    plan = plan.astype(np.float64) if use_f32 else plan
-    distance = gw_objective(d_source, d_target, plan, constant=constant)
-    return GWResult(plan, distance, iteration, converged, history)
-
-
-def entropic_gromov_wasserstein(
-    d_source: np.ndarray,
-    d_target: np.ndarray,
-    mu: np.ndarray | None = None,
-    nu: np.ndarray | None = None,
-    epsilon: float = 0.05,
-    max_iter: int = 200,
-    inner_iter: int = 100,
-    tol: float = 1e-7,
-    init: np.ndarray | None = None,
-) -> GWResult:
-    """Entropic GW: mirror-descent where each step solves an entropic OT.
-
-    At each iteration the linearised cost ``L⊗π`` feeds a fresh
-    log-domain Sinkhorn with regularisation ``epsilon``.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     d_source, d_target, mu, nu, plan = _prepare(d_source, d_target, mu, nu, init)
     constant = gw_constant_term(d_source, d_target, mu, nu)
     history: list[float] = []
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        linear_cost = constant - 2.0 * d_source @ plan @ d_target.T
-        result = sinkhorn_log(
-            linear_cost, mu, nu, epsilon=epsilon, max_iter=inner_iter, tol=1e-10
+        grad = gw_gradient(d_source, d_target, plan, constant=constant)
+        log_kernel = np.log(np.maximum(plan, 1e-300)) - grad / step_size
+        result = sinkhorn_log_kernel_fast(
+            log_kernel, mu, nu, max_iter=inner_iter, tol=1e-9
         )
         new_plan = result.plan
+        if not np.all(np.isfinite(new_plan)):
+            raise ConvergenceError("GW proximal iterate became non-finite")
         delta = float(np.abs(new_plan - plan).sum())
         plan = new_plan
         history.append(gw_objective(d_source, d_target, plan, constant=constant))
@@ -265,16 +162,3 @@ def entropic_gromov_wasserstein(
             break
     distance = gw_objective(d_source, d_target, plan, constant=constant)
     return GWResult(plan, distance, iteration, converged, history)
-
-
-def gromov_wasserstein_distance(
-    d_source: np.ndarray,
-    d_target: np.ndarray,
-    mu: np.ndarray | None = None,
-    nu: np.ndarray | None = None,
-    **solver_kwargs,
-) -> float:
-    """Convenience wrapper returning only the GW objective value."""
-    return proximal_gromov_wasserstein(
-        d_source, d_target, mu=mu, nu=nu, **solver_kwargs
-    ).distance

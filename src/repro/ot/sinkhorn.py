@@ -413,7 +413,7 @@ def sinkhorn_log_kernel_fast_workspace(
     :func:`sinkhorn_log_kernel_fast` entirely through ``out=``-targeted
     calls into workspace buffers, and leaves the projected plans in
     ``workspace.new_plans[:n_slices]`` — callers copy out before the
-    next lease.  Works at the workspace's dtype; float32 uses its own
+    next call.  Works at the workspace's dtype; float32 uses its own
     subnormal-flush threshold and tiny clamp (see ``_flush_constants``).
 
     Per-slice convergence follows the batched kernel's contract, by

@@ -2,8 +2,8 @@
 
 The paper's real-world pairs are only *partially* overlapping (Douban:
 1,118 of 3,906 online users have an offline copy), and Sec. VII lists
-partial alignment as future work.  This module provides the two
-standard relaxations:
+partial alignment as future work.  This module provides the
+standard KL relaxation in two forms:
 
 * :func:`sinkhorn_unbalanced` — entropic OT with KL-relaxed marginals
   (Chizat et al. 2018): mass conservation is softened by a penalty
@@ -13,10 +13,7 @@ standard relaxations:
   kernel hundreds of nats deep (the partial-unbalanced π-update):
   log-domain potentials, with the kernel exponentiated once and again
   only when a scaling is absorbed (Schmitzer 2019), so each iteration
-  costs two matvecs;
-* :func:`partial_wasserstein` — transport exactly a fraction ``mass``
-  of the total (Figalli-style partial OT) via a dummy-sink reduction to
-  balanced Sinkhorn.
+  costs two matvecs.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ import numpy as np
 
 from repro.exceptions import ConvergenceError, ShapeError
 from repro.ot.sinkhorn import _LOG_FLUSH, SinkhornResult
-from repro.utils.validation import check_probability_vector
 
 
 def sinkhorn_unbalanced(
@@ -219,60 +215,6 @@ def sinkhorn_unbalanced_log_kernel(
     plan = np.add(f[:, None], log_k, out=k_rows)
     np.add(plan, g, out=plan)
     return SinkhornResult(np.exp(plan, out=plan), iteration, err, converged)
-
-
-def partial_wasserstein(
-    cost: np.ndarray,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    mass: float = 0.8,
-    epsilon: float = 0.05,
-    max_iter: int = 2000,
-) -> np.ndarray:
-    """Transport exactly ``mass`` of the distributions' weight.
-
-    Reduction: append a dummy row and column absorbing the untransported
-    mass at zero cost, solve balanced entropic OT on the extended
-    problem, and drop the dummies.  The returned plan has total mass
-    ``mass``; rows/columns that shed their weight to the dummies are
-    the nodes deemed unmatchable.
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2:
-        raise ShapeError(f"cost must be 2-D, got shape {cost.shape}")
-    mu = check_probability_vector(mu, cost.shape[0], "mu")
-    nu = check_probability_vector(nu, cost.shape[1], "nu")
-    if not 0.0 < mass <= 1.0:
-        raise ValueError(f"mass must be in (0, 1], got {mass}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    n, m = cost.shape
-    slack = 1.0 - mass
-    # extended problem: dummy column receives mu-mass the plan does not
-    # ship, dummy row feeds nu-mass that is not received
-    big = float(cost.max()) if cost.size else 1.0
-    extended = np.zeros((n + 1, m + 1))
-    extended[:n, :m] = cost
-    extended[n, :m] = big * 0.0  # dummy row: free absorption
-    extended[:n, m] = big * 0.0  # dummy column: free absorption
-    extended[n, m] = 2.0 * big + 1.0  # dummies must not pair together
-    mu_ext = np.concatenate([mu, [slack]])
-    nu_ext = np.concatenate([nu, [slack]])
-    mu_ext /= mu_ext.sum()
-    nu_ext /= nu_ext.sum()
-    from repro.ot.sinkhorn import sinkhorn_log
-
-    result = sinkhorn_log(
-        extended, mu_ext, nu_ext, epsilon=epsilon, max_iter=max_iter
-    )
-    plan = result.plan[:n, :m]
-    total = plan.sum()
-    if total <= 0:
-        raise ConvergenceError("partial OT shipped no mass")
-    # the extended problem is normalised by (1 + slack), so the raw
-    # retained block carries ~mass/(1 + slack); rescale it to exactly
-    # the documented total mass
-    return plan * (mass / total)
 
 
 def _positive_vector(vec, size, name):

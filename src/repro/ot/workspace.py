@@ -13,15 +13,14 @@ state of the inner loop performs no array allocation at all
 
 Ownership rules
 ---------------
-* A workspace is **single-threaded state**: exactly one thread may
-  step against it at a time.  Concurrent restart strategies lease one
-  workspace per thread from a :class:`WorkspaceArena` (keyed by
-  ``threading.get_ident()``), so buffers are never shared across
-  threads — the no-aliasing property the racecheck tests pin down.
-* Buffers are sized for a **capacity** ``R`` and sliced ``[:r]`` per
-  call; a lease with a larger ``r`` or a different ``(n, m, dtype)``
-  reallocates (growing is the caller's explicit signal, never implicit
-  per-iteration behaviour).
+* A workspace is **single-threaded state** owned by the one solve that
+  built it: the float32 stepper
+  (:class:`repro.engine.mixed._MixedLockstep`) builds one in its
+  constructor, loads the marginals once, and steps every iteration of
+  that solve against it on the calling thread.  Nothing pools or
+  shares workspaces between solves or threads.
+* Buffers are sized for a **capacity** ``R`` fixed at construction and
+  sliced ``[:r]`` per call; a workspace never grows.
 * Buffer contents are undefined between calls: every kernel writes
   before it reads.  Nothing returned to callers may alias a workspace
   buffer unless documented (the stacked Sinkhorn kernel leaves plans
@@ -35,8 +34,6 @@ of read-only float64 arrays such as the objective's base stacks
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -87,15 +84,6 @@ class Workspace:
         self._cast_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
-    def fits(self, n_runs: int, n: int, m: int, dtype) -> bool:
-        """Whether this workspace can serve the requested shape as-is."""
-        return (
-            n_runs <= self.capacity
-            and n == self.n
-            and m == self.m
-            and np.dtype(dtype) == self.dtype
-        )
-
     def set_marginals(self, mu: np.ndarray, nu: np.ndarray) -> None:
         """Load the (shared) marginals into their broadcast columns."""
         np.copyto(self.mu_col, np.asarray(mu).reshape(self.n, 1), casting="same_kind")
@@ -103,7 +91,7 @@ class Workspace:
 
     @property
     def nbytes(self) -> int:
-        """Total bytes owned by the arena's array buffers."""
+        """Total bytes owned by the workspace's array buffers."""
         return sum(
             value.nbytes
             for value in self.__dict__.values()
@@ -139,38 +127,4 @@ class Workspace:
         return converted
 
 
-class WorkspaceArena:
-    """Thread-keyed pool of workspaces.
-
-    ``lease`` hands the calling thread its own :class:`Workspace`,
-    creating or regrowing it when the requested ``(n_runs, n, m,
-    dtype)`` does not fit the one it already holds.  Because the key is
-    the thread identity, two threads can never observe the same buffer.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        # thread ident -> Workspace  #: guarded-by: _lock
-        self._by_thread: dict[int, Workspace] = {}
-
-    def lease(self, n_runs: int, n: int, m: int, dtype=np.float64) -> Workspace:
-        ident = threading.get_ident()
-        with self._lock:
-            workspace = self._by_thread.get(ident)
-        if workspace is None or not workspace.fits(n_runs, n, m, dtype):
-            workspace = Workspace(max(1, n_runs), n, m, dtype)
-            with self._lock:
-                self._by_thread[ident] = workspace
-        return workspace
-
-    def workspaces(self) -> list[Workspace]:
-        """Snapshot of the live workspaces (test/introspection hook)."""
-        with self._lock:
-            return list(self._by_thread.values())
-
-    def clear(self) -> None:
-        with self._lock:
-            self._by_thread.clear()
-
-
-__all__ = ["Workspace", "WorkspaceArena"]
+__all__ = ["Workspace"]

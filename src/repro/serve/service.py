@@ -92,11 +92,9 @@ class AlignmentService:
     workers:
         Worker-thread count.  One worker keeps completion strictly
         FIFO; more trade ordering for parallel throughput.
-    coalesce:
-        Whether workers may batch compatible queued jobs into one
-        stacked solve.
     max_batch:
-        Largest number of jobs one coalesced solve may absorb.
+        Largest number of jobs one coalesced solve may absorb;
+        ``max_batch=1`` turns coalescing off.
     evaluate_ks:
         ``k`` values for Hits@k when a job carries ground truth.
     decoder:
@@ -121,7 +119,6 @@ class AlignmentService:
         cache=_SHARED,
         policy: AdmissionPolicy | None = None,
         workers: int = 1,
-        coalesce: bool = True,
         max_batch: int = 8,
         evaluate_ks=(1, 5, 10, 30),
         decoder: str | None = None,
@@ -141,7 +138,7 @@ class AlignmentService:
         # fail a bad backend/precision combination at construction, not
         # in a worker thread mid-solve
         self.precision = ensure_backend_precision(backend, precision)
-        self.coalesce = coalesce and backend == DEFAULT_BACKEND
+        self.coalesce = backend == DEFAULT_BACKEND and max_batch > 1
         self._classical = backend not in partial_backends()
         self.max_batch = max_batch
         self.evaluate_ks = tuple(evaluate_ks)
@@ -299,7 +296,7 @@ class AlignmentService:
             if head is None:
                 return  # queue closed and drained
             batch = [head]
-            if self.coalesce and self.max_batch > 1:
+            if self.coalesce:
                 batch += self._queue.take_matching(
                     lambda job: self._compatible(head, job),
                     self.max_batch - 1,

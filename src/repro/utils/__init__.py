@@ -5,8 +5,6 @@ from repro.utils.timer import Timer
 from repro.utils.validation import (
     check_probability_vector,
     check_square,
-    check_same_shape,
-    as_float_array,
 )
 
 __all__ = [
@@ -15,6 +13,4 @@ __all__ = [
     "Timer",
     "check_probability_vector",
     "check_square",
-    "check_same_shape",
-    "as_float_array",
 ]

@@ -7,29 +7,12 @@ import numpy as np
 from repro.exceptions import ShapeError
 
 
-def as_float_array(x, name: str = "array") -> np.ndarray:
-    """Convert ``x`` to a C-contiguous float64 ndarray, validating finiteness."""
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
 def check_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate that ``matrix`` is a square 2-D array and return it."""
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"{name} must be square 2-D, got shape {arr.shape}")
     return arr
-
-
-def check_same_shape(a: np.ndarray, b: np.ndarray, names=("a", "b")) -> None:
-    """Raise :class:`ShapeError` unless ``a`` and ``b`` share a shape."""
-    if np.asarray(a).shape != np.asarray(b).shape:
-        raise ShapeError(
-            f"{names[0]} and {names[1]} must have the same shape, "
-            f"got {np.asarray(a).shape} vs {np.asarray(b).shape}"
-        )
 
 
 def check_probability_vector(p, size: int | None = None, name: str = "p") -> np.ndarray:

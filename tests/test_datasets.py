@@ -15,7 +15,6 @@ from repro.datasets import (
     load_douban,
     load_facebook,
     load_graph_dataset,
-    load_pair_dataset,
     load_ppi,
     make_semi_synthetic_pair,
     random_knowledge_graph,
@@ -248,12 +247,6 @@ class TestRegistry:
         g = load_graph_dataset("cora", scale=0.04)
         assert g.name == "cora"
 
-    def test_pair_loader_dispatch(self):
-        pair = load_pair_dataset("dbp15k_zh_en", scale=0.01)
-        assert pair.name.startswith("dbp15k")
-
     def test_unknown_names(self):
         with pytest.raises(DatasetError):
             load_graph_dataset("imdb")
-        with pytest.raises(DatasetError):
-            load_pair_dataset("imdb")

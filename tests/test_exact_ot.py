@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ShapeError
-from repro.ot import emd, emd_cost, wasserstein_1d
+from repro.ot import emd, emd_cost
 
 
 class TestEMD:
@@ -47,26 +47,3 @@ class TestEMD:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ShapeError):
             emd(np.ones(3), np.ones(3) / 3, np.ones(3) / 3)
-
-
-class TestWasserstein1D:
-    def test_identical_samples_zero(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert wasserstein_1d(x, x) == pytest.approx(0.0, abs=1e-12)
-
-    def test_shifted_samples(self):
-        x = np.array([0.0, 1.0, 2.0])
-        assert wasserstein_1d(x, x + 5.0) == pytest.approx(5.0, abs=1e-6)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(3)
-        x, y = rng.random(20), rng.random(30)
-        assert wasserstein_1d(x, y) == pytest.approx(wasserstein_1d(y, x), abs=1e-9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            wasserstein_1d(np.array([]), np.array([1.0]))
-
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            wasserstein_1d(np.ones(3), np.ones(3), p=0)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines import KNNAligner
 from repro.core import SLOTAlign, SLOTAlignConfig
+from repro.engine import AlignmentEngine, PlanCache
 from repro.exceptions import ConvergenceError, GraphError, ReproError
 from repro.graphs import AttributedGraph, erdos_renyi_graph, permute_graph
 from repro.ot import (
@@ -13,6 +14,7 @@ from repro.ot import (
     sinkhorn_log_kernel_fast,
     sinkhorn_unbalanced_log_kernel,
 )
+from repro.serve import AlignmentService, JobState, wait_all
 
 FAST = SLOTAlignConfig(
     n_bases=2, max_outer_iter=30, sinkhorn_iter=30, track_history=False
@@ -64,6 +66,38 @@ class TestDegenerateGraphs:
         large = erdos_renyi_graph(60, 0.1, seed=8).with_features(rng.random((60, 4)))
         result = SLOTAlign(FAST).fit(small, large)
         assert result.plan.shape == (5, 60)
+
+
+class TestEmptyGraphs:
+    """A graph with no nodes is a typed input error at every entry point,
+    not a division by zero in the marginals."""
+
+    @staticmethod
+    def graphs():
+        empty = AttributedGraph.from_edges(0, [], features=np.ones((0, 4)))
+        rng = np.random.default_rng(13)
+        g = erdos_renyi_graph(8, 0.4, seed=13).with_features(rng.random((8, 4)))
+        return empty, g
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_engine_names_the_empty_side(self, side):
+        empty, g = self.graphs()
+        pair = (empty, g) if side == "source" else (g, empty)
+        with pytest.raises(GraphError, match=f"{side} graph has no nodes"):
+            AlignmentEngine(FAST, cache=None).run(*pair)
+
+    def test_service_fails_that_job_and_keeps_serving(self):
+        empty, g = self.graphs()
+        with AlignmentService(FAST, cache=PlanCache(), workers=1) as service:
+            bad = service.submit(empty, empty)
+            good = service.submit(g, g)
+            assert wait_all([bad, good], timeout=120)
+            stats = service.stats()
+        assert bad.state is JobState.FAILED
+        assert "GraphError" in bad.error and "no nodes" in bad.error
+        assert good.state is JobState.DONE
+        assert stats["failed"] == 1
+        assert stats["completed"] == 1
 
 
 class TestNumericalPoison:

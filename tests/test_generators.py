@@ -5,7 +5,6 @@ import pytest
 
 from repro.exceptions import GraphError
 from repro.graphs import (
-    barabasi_albert_graph,
     erdos_renyi_graph,
     powerlaw_cluster_graph,
     random_bipartite_expansion,
@@ -39,22 +38,6 @@ class TestErdosRenyi:
         a = erdos_renyi_graph(30, 0.2, seed=5).edge_list()
         b = erdos_renyi_graph(30, 0.2, seed=5).edge_list()
         np.testing.assert_array_equal(a, b)
-
-
-class TestBarabasiAlbert:
-    def test_edge_count(self):
-        g = barabasi_albert_graph(100, 3, seed=0)
-        # each of the n - m new nodes adds m edges
-        assert g.n_edges == (100 - 3) * 3
-
-    def test_degree_skew(self):
-        g = barabasi_albert_graph(200, 2, seed=0)
-        degrees = np.sort(g.degrees)[::-1]
-        assert degrees[0] > 4 * np.median(degrees)
-
-    def test_invalid_attach(self):
-        with pytest.raises(GraphError):
-            barabasi_albert_graph(5, 5)
 
 
 class TestPowerlawCluster:

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from repro.exceptions import ShapeError
 from repro.graphs import erdos_renyi_graph, permute_graph
 from repro.ot import (
-    entropic_gromov_wasserstein,
     feature_cost_matrix,
     fused_gromov_wasserstein,
-    gromov_wasserstein_distance,
     gw_constant_term,
     gw_gradient,
     gw_objective,
@@ -158,18 +156,6 @@ class TestProximalGW:
         np.testing.assert_allclose(result.plan.sum(axis=1), mu, atol=1e-6)
 
 
-class TestEntropicGW:
-    def test_runs_and_satisfies_marginals(self):
-        d = ring_distance_matrix(8)
-        result = entropic_gromov_wasserstein(d, d, epsilon=0.1, max_iter=30)
-        np.testing.assert_allclose(result.plan.sum(axis=1), 1 / 8, atol=1e-5)
-
-    def test_invalid_epsilon(self):
-        d = np.eye(3)
-        with pytest.raises(ValueError):
-            entropic_gromov_wasserstein(d, d, epsilon=0.0)
-
-
 class TestDistanceWrapper:
     def test_identical_asymmetric_structure_near_zero(self):
         g = erdos_renyi_graph(10, 0.4, seed=12)
@@ -178,7 +164,8 @@ class TestDistanceWrapper:
             d, d, np.outer(np.full(10, 0.1), np.full(10, 0.1)),
             mu=np.full(10, 0.1), nu=np.full(10, 0.1),
         )
-        assert gromov_wasserstein_distance(d, d, max_iter=150) < 0.5 * independent
+        distance = proximal_gromov_wasserstein(d, d, max_iter=150).distance
+        assert distance < 0.5 * independent
 
 
 class TestFusedGW:
@@ -227,6 +214,17 @@ class TestFusedGW:
         with pytest.raises(ShapeError):
             fused_gromov_wasserstein(np.ones((3, 2)), np.eye(2), np.eye(2))
 
+    def test_bad_init_shape(self):
+        d = np.eye(3)
+        with pytest.raises(ShapeError):
+            fused_gromov_wasserstein(np.ones((3, 3)), d, d, init=np.ones((2, 2)))
+
+    @pytest.mark.parametrize("init", [np.zeros((3, 3)), -np.ones((3, 3))])
+    def test_init_without_positive_mass(self, init):
+        d = np.eye(3)
+        with pytest.raises(ValueError, match="positive mass"):
+            fused_gromov_wasserstein(np.ones((3, 3)), d, d, init=init)
+
     @settings(max_examples=10, deadline=None)
     @given(st.floats(min_value=0.1, max_value=0.9))
     def test_marginals_any_alpha(self, alpha):
@@ -238,60 +236,3 @@ class TestFusedGW:
         dt = (dt + dt.T) / 2
         result = fused_gromov_wasserstein(cost, ds, dt, alpha=alpha, max_iter=20)
         np.testing.assert_allclose(result.plan.sum(axis=1), 0.25, atol=1e-8)
-
-
-class TestOTFloat32:
-    """Opt-in ``precision="float32"`` on the OT-layer solvers (PR 10)."""
-
-    def random_problem(self, seed=0, n=14, m=12):
-        rng = np.random.default_rng(seed)
-        ds = rng.random((n, n))
-        dt = rng.random((m, m))
-        return 0.5 * (ds + ds.T), 0.5 * (dt + dt.T), rng.random((n, m))
-
-    def test_proximal_gw_f32_tracks_the_f64_reference(self):
-        ds, dt, _ = self.random_problem()
-        f64 = proximal_gromov_wasserstein(ds, dt, max_iter=30)
-        f32 = proximal_gromov_wasserstein(
-            ds, dt, max_iter=30, precision="float32"
-        )
-        assert f32.plan.dtype == np.float64  # re-cast on return
-        assert abs(f32.distance - f64.distance) < 1e-5
-        relative = np.abs(f32.plan - f64.plan).sum() / np.abs(f64.plan).sum()
-        assert relative < 1e-3
-
-    def test_fused_gw_f32_tracks_the_f64_reference(self):
-        ds, dt, cost = self.random_problem(seed=1)
-        f64 = fused_gromov_wasserstein(cost, ds, dt, alpha=0.5, max_iter=30)
-        f32 = fused_gromov_wasserstein(
-            cost, ds, dt, alpha=0.5, max_iter=30, precision="float32"
-        )
-        assert f32.plan.dtype == np.float64
-        assert abs(f32.distance - f64.distance) < 1e-5
-        relative = np.abs(f32.plan - f64.plan).sum() / np.abs(f64.plan).sum()
-        assert relative < 1e-3
-
-    def test_f32_history_is_evaluated_in_float64(self):
-        ds, dt, cost = self.random_problem(seed=2)
-        result = fused_gromov_wasserstein(
-            cost, ds, dt, alpha=0.5, max_iter=10, precision="float32"
-        )
-        assert all(isinstance(value, float) for value in result.history)
-
-    def test_default_precision_path_is_unperturbed(self):
-        """Two float64 calls produce identical bits — the f32 branch
-        must not have touched the reference path."""
-        ds, dt, cost = self.random_problem(seed=3)
-        first = fused_gromov_wasserstein(cost, ds, dt, max_iter=15)
-        second = fused_gromov_wasserstein(cost, ds, dt, max_iter=15)
-        np.testing.assert_array_equal(first.plan, second.plan)
-        prox_first = proximal_gromov_wasserstein(ds, dt, max_iter=15)
-        prox_second = proximal_gromov_wasserstein(ds, dt, max_iter=15)
-        np.testing.assert_array_equal(prox_first.plan, prox_second.plan)
-
-    def test_unknown_precision_raises(self):
-        ds, dt, cost = self.random_problem()
-        with pytest.raises(ValueError, match="precision"):
-            proximal_gromov_wasserstein(ds, dt, precision="float16")
-        with pytest.raises(ValueError, match="precision"):
-            fused_gromov_wasserstein(cost, ds, dt, precision="half")

@@ -1,44 +1,14 @@
-"""Tests for graph IO (repro.graphs.io) and feature synthesis."""
+"""Tests for feature synthesis (repro.graphs.features)."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import GraphError
-from repro.graphs import erdos_renyi_graph, load_graph, save_graph
 from repro.graphs.features import (
     community_bag_of_words,
     degree_correlated_features,
-    latent_position_features,
-    pca_project,
     random_orthogonal_matrix,
 )
-
-
-class TestIO:
-    def test_round_trip(self, tmp_path):
-        g = erdos_renyi_graph(20, 0.3, seed=0).with_features(
-            np.random.default_rng(1).random((20, 4))
-        )
-        g.node_labels = np.arange(20) % 3
-        path = tmp_path / "graph.npz"
-        save_graph(g, path)
-        loaded = load_graph(path)
-        np.testing.assert_array_equal(loaded.edge_list(), g.edge_list())
-        np.testing.assert_array_equal(loaded.features, g.features)
-        np.testing.assert_array_equal(loaded.node_labels, g.node_labels)
-        assert loaded.name == g.name
-
-    def test_featureless_round_trip(self, tmp_path):
-        g = erdos_renyi_graph(10, 0.2, seed=2)
-        path = tmp_path / "plain.npz"
-        save_graph(g, path)
-        loaded = load_graph(path)
-        assert loaded.features is None
-        assert loaded.n_edges == g.n_edges
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(GraphError):
-            load_graph(tmp_path / "nope.npz")
 
 
 class TestCommunityBagOfWords:
@@ -75,21 +45,6 @@ class TestOtherFeatureSynths:
         proj = feats @ feats.mean(axis=0)
         assert abs(np.corrcoef(proj, np.log1p(degrees))[0, 1]) > 0.9
 
-    def test_latent_positions_shapes(self):
-        latent, feats = latent_position_features(30, 12, n_latent=4, seed=1)
-        assert latent.shape == (30, 4)
-        assert feats.shape == (30, 12)
-
     def test_random_orthogonal(self):
         q = random_orthogonal_matrix(6, seed=2)
         np.testing.assert_allclose(q @ q.T, np.eye(6), atol=1e-10)
-
-    def test_pca_project_dims(self):
-        rng = np.random.default_rng(3)
-        feats = rng.random((20, 10))
-        out = pca_project(feats, 4)
-        assert out.shape == (20, 4)
-
-    def test_pca_project_validates(self):
-        with pytest.raises(GraphError):
-            pca_project(np.ones((5, 5)), 0)

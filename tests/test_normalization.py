@@ -8,7 +8,6 @@ from repro.exceptions import GraphError
 from repro.graphs import (
     AttributedGraph,
     add_self_loops,
-    degree_matrix,
     erdos_renyi_graph,
     row_normalize,
     symmetric_normalize,
@@ -69,10 +68,6 @@ class TestHelpers:
         g = small_graph()
         with_loops = add_self_loops(g.adjacency)
         np.testing.assert_allclose(with_loops.diagonal(), 1.0)
-
-    def test_degree_matrix(self):
-        g = small_graph()
-        np.testing.assert_array_equal(degree_matrix(g.adjacency), [1, 2, 2, 1])
 
     def test_row_normalize_unit_rows(self):
         mat = np.random.default_rng(0).standard_normal((5, 3))

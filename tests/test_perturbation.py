@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
 from repro.graphs import (
-    add_feature_noise,
     compress_features,
     drop_edges,
     erdos_renyi_graph,
@@ -145,16 +144,6 @@ class TestCompressFeatures:
 
 
 class TestOtherPerturbations:
-    def test_add_feature_noise_scale(self):
-        g = featured_graph(seed=20)
-        out = add_feature_noise(g, 0.5, seed=21)
-        delta = out.features - g.features
-        assert 0.3 < delta.std() < 0.7
-
-    def test_add_feature_noise_negative_scale(self):
-        with pytest.raises(GraphError):
-            add_feature_noise(featured_graph(), -1.0)
-
     def test_drop_edges_count(self):
         g = featured_graph(seed=22)
         out = drop_edges(g, 0.5, seed=23)

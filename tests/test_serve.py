@@ -138,7 +138,7 @@ class TestServiceLifecycle:
     def test_fifo_completion_order_single_worker(self):
         pairs = [bench_pair(seed=s) for s in range(4)]
         service = AlignmentService(
-            FAST, cache=PlanCache(), workers=1, coalesce=False
+            FAST, cache=PlanCache(), workers=1, max_batch=1
         )
         jobs = [service.submit(p.source, p.target) for p in pairs]
         with service:

@@ -1,11 +1,10 @@
-"""Tests for unbalanced / partial OT (repro.ot.unbalanced)."""
+"""Tests for unbalanced OT (repro.ot.unbalanced)."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ShapeError
 from repro.ot import (
-    partial_wasserstein,
     sinkhorn_log,
     sinkhorn_unbalanced,
     sinkhorn_unbalanced_log_kernel,
@@ -187,53 +186,3 @@ class TestUnbalancedLogKernel:
             sinkhorn_unbalanced_log_kernel(
                 log_kernel[0], mu, nu, epsilon=1.0
             )
-
-
-class TestPartialWasserstein:
-    def test_total_mass_honours_documented_contract(self):
-        """Regression: the plan used to total ``mass/(1+slack)`` while
-        the docstring promised ``mass``."""
-        cost, mu, nu = random_problem(6, 6, seed=3)
-        for mass in (0.5, 0.8, 1.0):
-            plan = partial_wasserstein(cost, mu, nu, mass=mass)
-            assert plan.sum() == pytest.approx(mass, rel=1e-12)
-
-    def test_keeps_cheap_pairs(self):
-        """Partial OT should drop the most expensive correspondences."""
-        n = 5
-        cost = np.full((n, n), 5.0)
-        np.fill_diagonal(cost, 0.0)
-        cost[n - 1, n - 1] = 50.0  # node 4's own match is terrible
-        mu = nu = np.full(n, 1 / n)
-        plan = partial_wasserstein(cost, mu, nu, mass=0.8, epsilon=0.02)
-        shipped = plan.sum(axis=1)
-        assert shipped[n - 1] < 0.5 * shipped[0]
-
-    def test_mass_validation(self):
-        cost, mu, nu = random_problem(3, 3)
-        with pytest.raises(ValueError):
-            partial_wasserstein(cost, mu, nu, mass=0.0)
-        with pytest.raises(ValueError):
-            partial_wasserstein(cost, mu, nu, mass=1.5)
-
-    def test_nonnegative(self):
-        cost, mu, nu = random_problem(5, 7, seed=4)
-        plan = partial_wasserstein(cost, mu, nu, mass=0.6)
-        assert np.all(plan >= 0)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_marginals_never_exceed_budgets(self, seed):
-        """The dummy-sink reduction makes this a theorem, not a
-        numerical accident: each real row/column marginal of the
-        extended balanced problem *is* the budget, so the real block
-        can only undershoot it.  (The soft KL relaxation deliberately
-        does NOT guarantee this — its marginals can overshoot.)"""
-        cost, mu, nu = random_problem(6, 8, seed=seed)
-        for mass in (0.4, 0.7, 1.0):
-            plan = partial_wasserstein(cost, mu, nu, mass=mass)
-            # 1e-8 headroom: at mass=1.0 the reduction is a plain
-            # balanced solve and the finite Sinkhorn budget leaves a
-            # ~1e-10 marginal residual (convergence error, not overshoot)
-            assert np.all(plan.sum(axis=1) <= mu + 1e-8)
-            assert np.all(plan.sum(axis=0) <= nu + 1e-8)
-            assert plan.sum() == pytest.approx(mass, rel=1e-12)

@@ -6,10 +6,8 @@ import pytest
 from repro.exceptions import ShapeError
 from repro.utils import (
     Timer,
-    as_float_array,
     check_probability_vector,
     check_random_state,
-    check_same_shape,
     check_square,
     spawn_seeds,
 )
@@ -74,14 +72,6 @@ class TestTimer:
 
 
 class TestValidation:
-    def test_as_float_array_converts(self):
-        out = as_float_array([1, 2, 3])
-        assert out.dtype == np.float64
-
-    def test_as_float_array_rejects_nan(self):
-        with pytest.raises(ValueError):
-            as_float_array([1.0, np.nan])
-
     def test_check_square_accepts(self):
         check_square(np.eye(3))
 
@@ -92,11 +82,6 @@ class TestValidation:
     def test_check_square_rejects_1d(self):
         with pytest.raises(ShapeError):
             check_square(np.ones(4))
-
-    def test_check_same_shape(self):
-        check_same_shape(np.ones((2, 2)), np.zeros((2, 2)))
-        with pytest.raises(ShapeError):
-            check_same_shape(np.ones((2, 2)), np.zeros((3, 2)))
 
     def test_probability_vector_valid(self):
         out = check_probability_vector([0.25, 0.75])

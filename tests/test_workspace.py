@@ -1,36 +1,27 @@
-"""Tests for the preallocated kernel workspace arena (PR 10).
+"""Tests for the preallocated kernel workspace (repro.ot.workspace).
 
-The float32 fast path's performance claim rests on three structural
+The float32 fast path's performance claim rests on two structural
 properties of :mod:`repro.ot.workspace`:
 
 * a :class:`Workspace` owns every scratch buffer for a given
-  ``(capacity, n, m, dtype)`` and is reallocated — never silently
-  grown — when a lease does not fit;
-* the :class:`WorkspaceArena` keys workspaces by thread identity, so
-  two threads can never observe the same buffer (checked structurally
-  via ``np.shares_memory`` and dynamically under the racecheck
-  instrumented locks);
+  ``(capacity, n, m, dtype)``, sized once at construction;
 * the steady state of the workspace Sinkhorn kernel performs **no
   plan-sized allocation** — the ``tracemalloc`` assertion that pins
   the "allocator traffic eliminated from ``pi_update``" claim.
 """
 
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-import repro.ot.workspace as workspace_mod
-from repro.analysis.racecheck import RaceRegistry
 from repro.exceptions import ShapeError
 from repro.ot.sinkhorn import (
     F32_SINKHORN_TOL,
     sinkhorn_log_kernel_fast,
     sinkhorn_log_kernel_fast_workspace,
 )
-from repro.ot.workspace import Workspace, WorkspaceArena
+from repro.ot.workspace import Workspace
 
 
 def load_kernels(workspace, r, seed=0):
@@ -65,15 +56,6 @@ class TestWorkspace:
         with pytest.raises(ValueError):
             Workspace(0, 4, 4)
 
-    def test_fits_matches_on_all_four_axes(self):
-        ws = Workspace(3, 8, 6, np.float64)
-        assert ws.fits(3, 8, 6, np.float64)
-        assert ws.fits(1, 8, 6, "float64")  # smaller stacks slice in
-        assert not ws.fits(4, 8, 6, np.float64)  # over capacity
-        assert not ws.fits(3, 9, 6, np.float64)  # wrong n
-        assert not ws.fits(3, 8, 7, np.float64)  # wrong m
-        assert not ws.fits(3, 8, 6, np.float32)  # wrong dtype
-
     def test_set_marginals_casts_into_the_broadcast_columns(self):
         ws = Workspace(1, 5, 4, np.float32)
         mu = np.full(5, 0.2)
@@ -104,84 +86,6 @@ class TestWorkspace:
         # a different array under the same name is a different entry
         other = ws.cast("bases", source.copy())
         assert other is not first
-
-
-class TestArena:
-    def test_same_thread_reuses_a_fitting_workspace(self):
-        arena = WorkspaceArena()
-        first = arena.lease(2, 8, 6, np.float32)
-        assert arena.lease(1, 8, 6, np.float32) is first
-        assert arena.lease(2, 8, 6, np.float32) is first
-
-    @pytest.mark.parametrize(
-        "request_args",
-        [
-            (3, 8, 6, np.float32),  # capacity growth
-            (2, 9, 6, np.float32),  # shape change: n
-            (2, 8, 7, np.float32),  # shape change: m
-            (2, 8, 6, np.float64),  # dtype change
-        ],
-    )
-    def test_lease_reallocates_when_the_request_does_not_fit(
-        self, request_args
-    ):
-        arena = WorkspaceArena()
-        first = arena.lease(2, 8, 6, np.float32)
-        replacement = arena.lease(*request_args)
-        assert replacement is not first
-        assert replacement.fits(*request_args)
-        # the old workspace was replaced, not accumulated
-        assert len(arena.workspaces()) == 1
-
-    def test_threads_never_share_buffers(self):
-        arena = WorkspaceArena()
-        leases = {}
-        barrier = threading.Barrier(3)
-
-        def worker(key):
-            barrier.wait()
-            for _ in range(20):
-                leases[key] = arena.lease(2, 10, 8, np.float32)
-
-        threads = [
-            threading.Thread(target=worker, args=(k,)) for k in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        worker("main")
-        for thread in threads:
-            thread.join(timeout=30)
-        workspaces = list(leases.values())
-        assert len({id(ws) for ws in workspaces}) == 3
-        for i, a in enumerate(workspaces):
-            for b in workspaces[i + 1:]:
-                assert not np.shares_memory(a.plans, b.plans)
-                assert not np.shares_memory(a.new_plans, b.new_plans)
-
-    def test_clear_empties_the_pool(self):
-        arena = WorkspaceArena()
-        arena.lease(1, 4, 4)
-        arena.clear()
-        assert arena.workspaces() == []
-
-    def test_arena_is_clean_under_racecheck(self):
-        """``_by_thread`` is only ever touched with ``_lock`` held."""
-        registry = RaceRegistry()
-        with registry.instrument(workspace_mod):
-            arena = WorkspaceArena()
-            registry.guard(
-                arena, ("_by_thread",), arena._lock, label="arena"
-            )
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [
-                    pool.submit(arena.lease, 1 + (i % 3), 8, 6, np.float32)
-                    for i in range(32)
-                ]
-                for future in futures:
-                    future.result(timeout=30)
-            arena.workspaces()
-            arena.clear()
-        registry.assert_clean()
 
 
 class TestWorkspaceKernel:
