@@ -1,5 +1,5 @@
 """Entry point for ``python -m repro``."""
 
-from repro.cli import main
+from repro.cli import entry
 
-raise SystemExit(main())
+raise SystemExit(entry())

@@ -32,12 +32,16 @@ Commands
     Alias for ``python -m repro.experiments`` (see that module).
 
 Unknown ``--method``/``--backend`` values fail with a message naming
-the valid choices (never a bare ``KeyError``).
+the valid choices (never a bare ``KeyError``).  Run from the command
+line, any library error (:class:`~repro.exceptions.ReproError`) ends
+the process with one ``repro: error: <message>`` line on stderr and
+exit status 2, as argparse does for a bad option.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 
 from repro.baselines import (
     FusedGWAligner,
@@ -62,7 +66,7 @@ from repro.engine import (
     ensure_dense_backend,
 )
 from repro.eval import evaluate_plan
-from repro.exceptions import ConfigError
+from repro.exceptions import ConfigError, ReproError
 from repro.graphs import structural_summary
 from repro.scale import DivideAndConquerAligner
 
@@ -593,5 +597,18 @@ def main(argv=None) -> int:
     raise AssertionError("unreachable")  # pragma: no cover
 
 
+def entry(argv=None) -> int:
+    """:func:`main` for ``python -m repro``: a library error is one line.
+
+    :func:`main` raises the typed error to Python callers; a shell user
+    gets ``repro: error: <message>`` on stderr and exit status 2.
+    """
+    try:
+        return main(argv)
+    except ReproError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(entry())

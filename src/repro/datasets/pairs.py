@@ -90,12 +90,23 @@ def make_semi_synthetic_pair(
         One of ``permutation`` / ``truncation`` / ``compression`` or
         ``None``.
     feature_noise:
-        Intensity ``p`` of the chosen feature transformation.
+        Intensity ``p`` of the chosen feature transformation; must be
+        0 when there is none.
+
+    Noise that would go unapplied raises :class:`DatasetError`, so
+    ``metadata`` always describes the pair returned.
     """
     if feature_transform is not None and feature_transform not in FEATURE_TRANSFORMS:
         raise DatasetError(
             f"feature_transform must be one of {FEATURE_TRANSFORMS}, "
             f"got {feature_transform!r}"
+        )
+    if edge_noise < 0:
+        raise DatasetError(f"edge_noise must be >= 0, got {edge_noise}")
+    if feature_transform is None and feature_noise != 0:
+        raise DatasetError(
+            f"feature_noise={feature_noise} needs a feature_transform "
+            f"(one of {FEATURE_TRANSFORMS})"
         )
     seeds = spawn_seeds(seed, 3)
     target, perm = permute_graph(graph, seed=seeds[0])

@@ -53,7 +53,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
+import scipy  # scipy.optimize loads on first use: DESIGN.md, "Import cost"
 import scipy.sparse as sp
 
 from repro.exceptions import ConfigError, ShapeError

@@ -7,7 +7,7 @@ use it as a ground truth for Sinkhorn with ε → 0.
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
+import scipy  # scipy.optimize loads on first use: DESIGN.md, "Import cost"
 import scipy.sparse as sp
 
 from repro.exceptions import ConvergenceError, ShapeError

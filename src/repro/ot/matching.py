@@ -9,7 +9,7 @@ one-to-one matching.
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
+import scipy  # scipy.optimize loads on first use: DESIGN.md, "Import cost"
 
 from repro.exceptions import ShapeError
 

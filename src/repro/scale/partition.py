@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg  # noqa: F401  (enables the sp.linalg namespace)
 
 from repro.exceptions import GraphError
 from repro.graphs.graph import AttributedGraph

@@ -1,8 +1,15 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -65,6 +72,31 @@ class TestCommands:
 
         with pytest.raises(DatasetError):
             main(["stats", "imdb"])
+
+
+class TestEntryPoint:
+    """``python -m repro`` turns a library error into one line, status 2."""
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--iters", "0"], "max_outer_iter must be >= 1, got 0"),
+            (["--scale", "-1"], "scale must be in (0, 1], got -1.0"),
+            (["--edge-noise", "1.5"], "ratio must be in [0, 1], got 1.5"),
+        ],
+        ids=["ConfigError", "DatasetError", "GraphError"],
+    )
+    def test_typed_error_is_one_line(self, option, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "align", "cora", *option],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"repro: error: {message}\n"
 
 
 class TestEngineCommand:

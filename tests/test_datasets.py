@@ -105,6 +105,16 @@ class TestSemiSyntheticPairs:
         with pytest.raises(DatasetError):
             make_semi_synthetic_pair(g, feature_transform="quantise")
 
+    def test_negative_edge_noise_rejected(self):
+        g = load_cora(scale=0.04)
+        with pytest.raises(DatasetError, match="edge_noise"):
+            make_semi_synthetic_pair(g, edge_noise=-0.5)
+
+    def test_feature_noise_without_transform_rejected(self):
+        g = load_cora(scale=0.04)
+        with pytest.raises(DatasetError, match="feature_noise"):
+            make_semi_synthetic_pair(g, feature_noise=0.3)
+
     def test_truncate_feature_columns(self):
         g = load_cora(scale=0.04)
         out = truncate_feature_columns(g, 100)
