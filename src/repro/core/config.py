@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from repro.exceptions import ConfigError
 
@@ -179,6 +180,11 @@ class SLOTAlignConfig:
     partial_anchor_weight: float = 10.0
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison below, so it is refused up front
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{spec.name} must be finite, got {value}")
         if self.n_bases < 1:
             raise ConfigError(f"n_bases must be >= 1, got {self.n_bases}")
         if self.structure_lr <= 0:

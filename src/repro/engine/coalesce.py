@@ -3,19 +3,19 @@
 The serving layer receives bursts of *independent* alignment requests
 whose problems are frequently tiny and identically shaped (same
 ``(n, m)``, same config).  :func:`solve_coalesced` puts the restarts
-of **all** pairs into one lockstep batch — the ``(B, n, m)``
-generalisation of one pair's ``(R, n, m)`` stack — so one outer
-iteration of Algorithm 1 advances every restart of every pair: float64
-batches through the stacked step of :mod:`repro.engine.batched`,
-float32 batches through the workspace step of :mod:`repro.engine.mixed`.
+of **all** pairs into one lockstep batch, so one outer iteration of
+Algorithm 1 advances every restart of every pair: float64 batches
+through :mod:`repro.engine.batched` (each run's own serial step halves
+around one ``(B, n, m)`` stacked Sinkhorn projection), float32 batches
+through the workspace step of :mod:`repro.engine.mixed`.
 
 Bitwise contract
 ----------------
 Each pair's result is **bit-for-bit** what a direct single-pair
 ``fused-dense`` solve at the same precision produces: every lockstep
-operation either acts on a run's own contiguous slice with the exact
-serial expression, or is a batched matmul that calls the same
-per-slice GEMM kernels as the 2-D code.  A run's iterates therefore
+operation either acts on a run's own iterate with the exact serial
+expression, or is a stacked kernel or batched matmul that computes
+each slice exactly as the serial code does.  A run's iterates therefore
 never depend on what else is in the batch; coalescing is pure
 scheduling.  Portfolio pruning is applied *within* each pair's restart
 group (never across pairs) by the one portfolio scheduler,
@@ -71,9 +71,9 @@ def solve_coalesced(problems: list[PreparedProblem], precision: str = DEFAULT_PR
     precisions must never share a batch (the serving layer keys
     admission on it).
 
-    Phase timings: a float64 batch reports the stacked step's shared
-    totals on every member; a float32 result carries ``precision`` and
-    its own pair's share.
+    Phase timings: every member of a float64 batch reports the whole
+    batch's totals, the stacked projection counted once; a float32
+    result carries ``precision`` and its own pair's share.
     """
     if not problems:
         return []
@@ -99,11 +99,11 @@ def solve_coalesced(problems: list[PreparedProblem], precision: str = DEFAULT_PR
         solved = run_portfolio(groups, cfg, stepper._step_all)
 
     if stacked:
-        # the stacked step times the whole batch at once; the runs
-        # carry only their own objective evaluations
+        # every member reports the whole batch's phase totals, in which
+        # the runs' shares count the stacked projection once
         shared = {
-            key: total + sum(run.timings[key] for run in everyone)
-            for key, total in stepper.timings.items()
+            key: sum(run.timings[key] for run in everyone)
+            for key in everyone[0].timings
         }
     results = []
     for index, (problem, runs) in enumerate(zip(problems, groups)):

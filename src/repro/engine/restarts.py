@@ -8,13 +8,15 @@ that advances the runs.  Everything policy-level therefore lives here,
 once:
 
 * :class:`RestartRun` is the one run state.  Its ``_step_once`` is the
-  float64 serial step, a faithful transcription of the original
-  single-shot loop: as long as a run is advanced to the full budget,
-  its iterate sequence (and therefore its final plan) is bit-for-bit
-  what the unscheduled solver produced.  The stacked float64 step
-  (:class:`repro.engine.batched._LockstepPortfolio`) and the float32
-  workspace step (:class:`repro.engine.mixed._MixedLockstep`) advance
-  the same run objects.
+  float64 step, a faithful transcription of the original single-shot
+  loop: as long as a run is advanced to the full budget, its iterate
+  sequence (and therefore its final plan) is bit-for-bit what the
+  unscheduled solver produced.  The step's halves around the
+  projection, ``_propose`` and ``_accept``, are also what the float64
+  lockstep (:class:`repro.engine.batched._LockstepPortfolio`) runs
+  around one stacked projection; the float32 workspace step
+  (:class:`repro.engine.mixed._MixedLockstep`) advances the same run
+  objects with its own body.
 * :func:`run_portfolio` is the one scheduler: checkpoints, pruning
   within each pair's restart group, then the final advance, whatever
   the stepper.
@@ -258,13 +260,26 @@ class RestartRun:
     # ------------------------------------------------------------------
     def _step_once(self) -> None:
         """One outer iteration of Algorithm 1 (Eq. 11 then Eq. 12)."""
+        new_alpha, log_kernel, eta = self._propose()
+        t0 = time.perf_counter()
+        new_plan = self._project_plan(log_kernel, eta)
+        self.timings["pi_update"] += time.perf_counter() - t0
+        self._accept(new_alpha, new_plan)
+
+    def _propose(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The step's first half: the α-update, then the π-update's kernel.
+
+        Returns ``(new_alpha, log_kernel, η)``: the Eq. 11 weights and
+        the Eq. 12 proximal log kernel at those weights, which the
+        stepper projects onto the plan's feasible set.
+        """
         cfg = self.config
         objective = self.objective
         k = self.k
-        alpha, plan = self.alpha, self.plan
+        plan = self.plan
 
         t0 = time.perf_counter()
-        new_alpha = alpha
+        new_alpha = self.alpha
         if self.learn_weights:
             for _ in range(cfg.alpha_steps):
                 grad = objective.alpha_gradient(
@@ -290,20 +305,28 @@ class RestartRun:
         log_kernel = (
             np.log(np.maximum(plan, 1e-300)) - plan_grad / eta
         )
-        new_plan = self._project_plan(log_kernel, eta)
+        self.timings["pi_update"] += time.perf_counter() - t1
+        return new_alpha, log_kernel, eta
+
+    def _accept(self, new_alpha: np.ndarray, new_plan: np.ndarray) -> None:
+        """The step's second half: take the projected iterate.
+
+        Checks the plan is finite, records the iterate deltas (and the
+        objective with ``track_history``) and tests convergence.
+        """
+        cfg = self.config
+        k = self.k
         if not np.all(np.isfinite(new_plan)):
             raise ConvergenceError("SLOTAlign plan became non-finite")
-        t2 = time.perf_counter()
-        self.timings["pi_update"] += t2 - t1
-
-        alpha_delta = float(np.linalg.norm(new_alpha - alpha))
-        plan_delta = float(np.linalg.norm(new_plan - plan))
+        t0 = time.perf_counter()
+        alpha_delta = float(np.linalg.norm(new_alpha - self.alpha))
+        plan_delta = float(np.linalg.norm(new_plan - self.plan))
         value = (
-            objective.value(new_plan, new_alpha[:k], new_alpha[k:])
+            self.objective.value(new_plan, new_alpha[:k], new_alpha[k:])
             if cfg.track_history
             else None
         )
-        self.timings["objective_eval"] += time.perf_counter() - t2
+        self.timings["objective_eval"] += time.perf_counter() - t0
         self.history.record(value, alpha_delta, plan_delta)
         self.alpha, self.plan = new_alpha, new_plan
         self.iteration += 1

@@ -1,7 +1,8 @@
-"""Bitwise contract of the float64 stacked step.
+"""Bitwise contract of the float64 lockstep.
 
-The stacked step (``engine/batched.py``) advances restarts as one
-``(R, n, m)`` lockstep; it serves the coalesced multi-pair solve.  Per
+The lockstep (``engine/batched.py``) advances restarts together: each
+run's own serial step halves around one ``(R, n, m)`` stacked Sinkhorn
+projection; it serves the coalesced multi-pair solve.  Per
 DESIGN.md's bitwise policy a pair solved through
 ``solve_coalesced([problem])`` must reproduce the serial ``fused-dense``
 portfolio **bit for bit** — not approximately: chaotic GW iterations

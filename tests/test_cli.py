@@ -83,8 +83,9 @@ class TestEntryPoint:
             (["--iters", "0"], "max_outer_iter must be >= 1, got 0"),
             (["--scale", "-1"], "scale must be in (0, 1], got -1.0"),
             (["--edge-noise", "1.5"], "ratio must be in [0, 1], got 1.5"),
+            (["--tau", "nan"], "structure_lr must be finite, got nan"),
         ],
-        ids=["ConfigError", "DatasetError", "GraphError"],
+        ids=["ConfigError", "DatasetError", "GraphError", "non-finite"],
     )
     def test_typed_error_is_one_line(self, option, message):
         proc = subprocess.run(

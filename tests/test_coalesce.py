@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from repro.core import SLOTAlignConfig
+from repro.core.objective import JointObjective
+from repro.core.views import center_kernel
 from repro.datasets import make_semi_synthetic_pair
 from repro.engine import AlignmentEngine, coalescible, solve_coalesced
+from repro.engine.pipeline import prepare_problem
 from repro.exceptions import ConfigError
 from repro.graphs import stochastic_block_model
 from repro.graphs.features import community_bag_of_words
@@ -49,6 +52,23 @@ class TestCoalescedBitwise:
             np.testing.assert_array_equal(result.plan, direct_plan(pair))
             assert result.extras["backend"] == "coalesced"
             assert result.extras["coalesced"]["batch_size"] == 4
+
+    def test_float64_members_report_the_batch_phase_totals(self):
+        """Every member carries the whole batch's totals, in which the
+        stacked projection is counted once: the phases are disjoint
+        intervals of the batch's wall clock."""
+        engine = AlignmentEngine(FAST, cache=None)
+        problems = [
+            engine.plan(p.source, p.target)
+            for p in (bench_pair(seed=s) for s in range(3))
+        ]
+        results = solve_coalesced(problems)
+        phases = ("alpha_update", "pi_update", "objective_eval")
+        totals = [
+            [r.extras["phase_timings"][key] for key in phases] for r in results
+        ]
+        assert all(member == totals[0] for member in totals)
+        assert sum(totals[0]) <= results[0].extras["coalesced"]["batch_runtime"]
 
     def test_single_problem_batch_matches_direct_run(self):
         pair = bench_pair(seed=9)
@@ -99,6 +119,35 @@ class TestCoalescedBitwise:
             assert (
                 result.extras["portfolio"]["pruned"]
                 == direct.extras["portfolio"]["pruned"]
+            )
+
+    def test_batch_mixing_gradient_formulas(self):
+        """Symmetry is decided per pair from its bases, so one config
+        can batch a fused-gradient pair with a general-gradient one."""
+        pairs = [bench_pair(seed=s) for s in (19, 23)]
+        engine = AlignmentEngine(FAST, cache=None)
+        symmetric = engine.plan(pairs[0].source, pairs[0].target).bases
+        # centring takes row and column means by two different
+        # reductions, which leaves the kernel asymmetric in the last ulp
+        centred = tuple(
+            [center_kernel(basis) for basis in side]
+            for side in engine.plan(pairs[1].source, pairs[1].target).bases
+        )
+        problems = [
+            prepare_problem(pair.source, pair.target, FAST, bases=bases)
+            for pair, bases in zip(pairs, (symmetric, centred))
+        ]
+        fused = [
+            JointObjective(*problem.bases, fused=FAST.fused_contractions).fused
+            for problem in problems
+        ]
+        assert fused == [True, False], "fixture no longer mixes formulas"
+        results = solve_coalesced(problems)
+        for problem, result in zip(problems, results):
+            direct = AlignmentEngine(FAST, backend="fused-dense").solve(problem)
+            np.testing.assert_array_equal(result.plan, direct.plan)
+            np.testing.assert_array_equal(
+                result.extras["beta_source"], direct.extras["beta_source"]
             )
 
 

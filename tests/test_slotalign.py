@@ -1,5 +1,7 @@
 """Tests for the SLOTAlign core algorithm (Algorithm 1, Prop. 4, Thm. 5)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,16 @@ class TestConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SLOTAlignConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "name",
+        [f.name for f in dataclasses.fields(SLOTAlignConfig) if f.type == "float"],
+    )
+    def test_non_finite_float_fields_rejected(self, name, value):
+        """NaN passes no comparison, so range checks alone let it in."""
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            SLOTAlignConfig(**{name: value})
 
 
 class TestAlignmentQuality:
