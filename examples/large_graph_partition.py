@@ -63,7 +63,7 @@ def main() -> None:
     )
 
     # the discrete matching and the full report also never densify
-    matching = repaired.matching()
+    matching = repaired.decode().matching
     correct = (matching[pair.ground_truth[:, 0]] == pair.ground_truth[:, 1]).mean()
     print(f"\nsparse argmax matching accuracy: {correct:.1%}")
     report = evaluate_plan(repaired.plan, pair.ground_truth, ks=(1, 5, 10))

@@ -46,7 +46,7 @@ def main() -> None:
     for key, value in metrics.items():
         print(f"  {key:8s} {value:6.2f}")
 
-    matching = result.matching("hungarian")
+    matching = result.decode("hungarian").matching
     correct = (matching[pair.ground_truth[:, 0]] == pair.ground_truth[:, 1]).mean()
     print(f"\nhungarian one-to-one accuracy: {100 * correct:.1f}%")
 

@@ -9,7 +9,7 @@ Quickstart
 >>> from repro import SLOTAlign, make_semi_synthetic_pair, load_cora
 >>> pair = make_semi_synthetic_pair(load_cora(scale=0.05), edge_noise=0.1)
 >>> result = SLOTAlign().fit(pair.source, pair.target)
->>> matches = result.matching()
+>>> matches = result.decode("hungarian").matching
 """
 
 from repro.core import (

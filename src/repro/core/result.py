@@ -6,13 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ot.matching import (
-    argmax_matching,
-    greedy_matching,
-    hungarian_matching,
-    top_k_candidates,
-)
-
 
 @dataclass
 class AlignmentResult:
@@ -37,31 +30,13 @@ class AlignmentResult:
     method: str = ""
     extras: dict = field(default_factory=dict)
 
-    def matching(self, strategy: str = "argmax") -> np.ndarray:
-        """Discrete matching per Eq. (2).
-
-        ``strategy`` is one of ``argmax``, ``greedy``, ``hungarian``.
-        """
-        if strategy == "argmax":
-            return argmax_matching(self.plan)
-        if strategy == "greedy":
-            return greedy_matching(self.plan)
-        if strategy == "hungarian":
-            return hungarian_matching(self.plan)
-        raise ValueError(f"unknown matching strategy {strategy!r}")
-
-    def top_k(self, k: int) -> np.ndarray:
-        """Top-k target candidates per source node."""
-        return top_k_candidates(self.plan, k)
-
     def decode(self, decoder: str | None = None):
         """Decode the plan through the engine's decoder registry.
 
-        Unlike :meth:`matching` (the legacy Eq. (2) strategies, kept
-        for compatibility) this returns a full
-        :class:`~repro.engine.decode.DecodedMatching` — matching plus
-        per-match confidence, shed scores and decode timing — and
-        accepts any registered decoder name (default ``row-argmax``).
+        Returns a :class:`~repro.engine.decode.DecodedMatching` —
+        matching plus per-match confidence, shed scores and decode
+        timing — for any registered decoder name (default
+        ``row-argmax``; ``hungarian`` is the exact Eq. (2) matching).
         """
         # lazy import: repro.engine depends on this result type
         from repro.engine.decode import DEFAULT_DECODER, decode_plan

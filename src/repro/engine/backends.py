@@ -246,8 +246,6 @@ class SparsePartitionBackend:
         executor: str = "auto",
         max_workers: int | None = None,
         boundary_repair: bool = True,
-        min_agreement: float = 2.0,
-        block_init: str = "auto",
         block_backend: str = DEFAULT_BACKEND,
     ):
         self.options = dict(
@@ -257,8 +255,6 @@ class SparsePartitionBackend:
             executor=executor,
             max_workers=max_workers,
             boundary_repair=boundary_repair,
-            min_agreement=min_agreement,
-            block_init=block_init,
             solver_backend=block_backend,
         )
 

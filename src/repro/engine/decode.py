@@ -56,7 +56,8 @@ import numpy as np
 import scipy  # scipy.optimize loads on first use: DESIGN.md, "Import cost"
 import scipy.sparse as sp
 
-from repro.exceptions import ConfigError, ShapeError
+from repro.exceptions import ConfigError
+from repro.utils.validation import check_plan
 
 DEFAULT_DECODER = "row-argmax"
 
@@ -168,21 +169,6 @@ class DecodedMatching:
 
 # ----------------------------------------------------------------------
 # shared plan accessors (dense or CSR, never densifying)
-
-def _as_plan(plan):
-    if sp.issparse(plan):
-        csr = sp.csr_array(plan)
-        if not csr.has_sorted_indices:
-            csr = csr.copy()
-            csr.sort_indices()
-        return csr.astype(np.float64)
-    plan = np.asarray(plan, dtype=np.float64)
-    if plan.ndim != 2:
-        raise ShapeError(f"plan must be 2-D, got shape {plan.shape}")
-    if plan.size == 0:
-        raise ShapeError("plan must be non-empty")
-    return plan
-
 
 def _marginal_masses(plan) -> tuple[np.ndarray, np.ndarray]:
     """Row and column mass vectors (sparse sums never densify)."""
@@ -296,7 +282,7 @@ class Decoder:
     posterior_ranked = False
 
     def decode(self, plan) -> DecodedMatching:
-        plan = _as_plan(plan)
+        plan = check_plan(plan)
         t0 = time.perf_counter()
         matching = self._decode(plan)
         decode_seconds = time.perf_counter() - t0

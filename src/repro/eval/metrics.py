@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import ShapeError
+from repro.utils.validation import check_plan, sorted_csr
 
 
 def hits_at_k(plan, ground_truth: np.ndarray, k: int) -> float:
@@ -119,7 +120,7 @@ def sparse_topk(plan, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"k must be >= 1, got {k}")
     if not sp.issparse(plan):
         plan = sp.csr_array(np.asarray(plan, dtype=np.float64))
-    csr = _sorted_csr(plan)
+    csr = sorted_csr(plan)
     n = csr.shape[0]
     cols = np.full((n, k), -1, dtype=np.int64)
     scores = np.zeros((n, k))
@@ -305,27 +306,8 @@ def unmatchable_detection(
     }
 
 
-def _sorted_csr(plan) -> sp.csr_array:
-    """CSR with sorted indices, copying first if sorting would mutate.
-
-    ``sp.csr_array(other_csr)`` shares the underlying buffers, so an
-    in-place ``sort_indices()`` would reorder the *caller's* arrays as
-    a side effect.
-    """
-    csr = sp.csr_array(plan)
-    if not csr.has_sorted_indices:
-        csr = csr.copy()
-        csr.sort_indices()
-    return csr
-
-
 def _validate(plan, ground_truth):
-    if sp.issparse(plan):
-        plan = _sorted_csr(plan).astype(np.float64)
-    else:
-        plan = np.asarray(plan, dtype=np.float64)
-        if plan.ndim != 2:
-            raise ShapeError(f"plan must be 2-D, got shape {plan.shape}")
+    plan = check_plan(plan)
     gt = np.asarray(ground_truth, dtype=np.int64)
     if gt.ndim != 2 or gt.shape[1] != 2:
         raise ShapeError(f"ground_truth must be t x 2, got shape {gt.shape}")

@@ -7,11 +7,9 @@ from repro.ot.simplex import (
 )
 from repro.ot.sinkhorn import (
     SinkhornResult,
-    sinkhorn,
     sinkhorn_log,
     sinkhorn_log_kernel_fast,
     sinkhorn_log_kernel_fast_batched,
-    sinkhorn_projection,
     transport_cost,
 )
 from repro.ot.exact import emd, emd_cost
@@ -27,23 +25,15 @@ from repro.ot.gromov import (
     proximal_gromov_wasserstein,
 )
 from repro.ot.fused import fused_gromov_wasserstein, feature_cost_matrix
-from repro.ot.matching import (
-    argmax_matching,
-    hungarian_matching,
-    greedy_matching,
-    top_k_candidates,
-)
 
 __all__ = [
     "project_simplex",
     "project_concatenated_simplices",
     "is_in_simplex",
     "SinkhornResult",
-    "sinkhorn",
     "sinkhorn_log",
     "sinkhorn_log_kernel_fast",
     "sinkhorn_log_kernel_fast_batched",
-    "sinkhorn_projection",
     "transport_cost",
     "emd",
     "emd_cost",
@@ -56,8 +46,4 @@ __all__ = [
     "proximal_gromov_wasserstein",
     "fused_gromov_wasserstein",
     "feature_cost_matrix",
-    "argmax_matching",
-    "hungarian_matching",
-    "greedy_matching",
-    "top_k_candidates",
 ]

@@ -1,14 +1,17 @@
 """Entropic optimal transport via the Sinkhorn algorithm (Cuturi 2013).
 
-Two implementations are provided:
+Every routine projects a positive kernel onto the transport polytope
+``Π(μ, ν) = {π >= 0 : π 1 = μ, πᵀ 1 = ν}``:
 
-* :func:`sinkhorn` — the classical kernel-domain iteration; fast but can
-  underflow for small regularisation;
-* :func:`sinkhorn_log` — log-domain (logsumexp) iteration, stable for
-  any ε > 0; this is the one SLOTAlign's π-update uses.
-
-Both project a positive kernel onto the transport polytope
-``Π(μ, ν) = {π >= 0 : π 1 = μ, πᵀ 1 = ν}``.
+* :func:`sinkhorn_log` — the log-domain (logsumexp) reference, stable
+  for any ε > 0; the feature-similarity initialisation uses it;
+* :func:`sinkhorn_log_kernel_fast` — exponentiate-once scaling of a
+  log kernel: the π-update of SLOTAlign's restart runs and of the
+  proximal GW baselines;
+* :func:`sinkhorn_log_kernel_fast_batched` — the same iteration over a
+  stacked ``(B, n, m)`` kernel, for coalesced batches;
+* :func:`sinkhorn_log_kernel_fast_workspace` — the same iteration in a
+  caller-owned float64/float32 workspace, for the float32 solves.
 """
 
 from __future__ import annotations
@@ -57,74 +60,6 @@ def _validate_inputs(cost, mu, nu):
     return cost, mu, nu
 
 
-def sinkhorn(
-    cost: np.ndarray,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    epsilon: float = 0.01,
-    max_iter: int = 1000,
-    tol: float = 1e-9,
-) -> SinkhornResult:
-    """Kernel-domain Sinkhorn for ``min <C, π> + ε H(π)``.
-
-    Raises :class:`ConvergenceError` when the kernel underflows to an
-    all-zero row (use :func:`sinkhorn_log` in that regime).
-    """
-    cost, mu, nu = _validate_inputs(cost, mu, nu)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    kernel = np.exp(-cost / epsilon)
-    return sinkhorn_projection(kernel, mu, nu, max_iter=max_iter, tol=tol)
-
-
-def sinkhorn_projection(
-    kernel: np.ndarray,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    max_iter: int = 1000,
-    tol: float = 1e-9,
-) -> SinkhornResult:
-    """Project a positive ``kernel`` onto ``Π(μ, ν)`` by scaling.
-
-    This is the generalised (KL) projection used by the proximal-point
-    π-update: the KL-prox of a linearised objective is the Sinkhorn
-    projection of ``π_k ⊙ exp(-η ∇F)``.
-    """
-    kernel = np.asarray(kernel, dtype=np.float64)
-    mu = check_probability_vector(mu, kernel.shape[0], "mu")
-    nu = check_probability_vector(nu, kernel.shape[1], "nu")
-    if np.any(kernel < 0):
-        raise ValueError("kernel must be non-negative")
-    if not np.all(np.isfinite(kernel)):
-        raise ConvergenceError("Sinkhorn kernel contains non-finite entries")
-    u = np.ones_like(mu)
-    v = np.ones_like(nu)
-    converged = False
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
-        kv = kernel @ v
-        if np.any(kv <= 0):
-            raise ConvergenceError(
-                "Sinkhorn kernel underflowed (zero row); use sinkhorn_log"
-            )
-        u = mu / kv
-        ktu = kernel.T @ u
-        if np.any(ktu <= 0):
-            raise ConvergenceError(
-                "Sinkhorn kernel underflowed (zero column); use sinkhorn_log"
-            )
-        v = nu / ktu
-        if iteration % 5 == 0 or iteration == max_iter:
-            row_marginal = u * (kernel @ v)
-            err = float(np.abs(row_marginal - mu).sum())
-            if err < tol:
-                converged = True
-                break
-    plan = u[:, None] * kernel * v[None, :]
-    err = float(np.abs(plan.sum(axis=1) - mu).sum())
-    return SinkhornResult(plan, iteration, err, converged or err < tol)
-
-
 def sinkhorn_log(
     cost: np.ndarray,
     mu: np.ndarray,
@@ -138,12 +73,16 @@ def sinkhorn_log(
 
     Parameters
     ----------
-    cost, mu, nu, epsilon, max_iter, tol:
-        As in :func:`sinkhorn`.
+    cost, mu, nu:
+        ``n × m`` cost matrix and the two marginals.
+    epsilon:
+        Entropic regularisation strength (> 0).
+    max_iter, tol:
+        Iteration cap and L1 row-marginal tolerance.
     log_kernel:
         When given, ``cost``/``epsilon`` are ignored and the projection
         is applied to ``exp(log_kernel)`` directly — the entry point
-        used by the KL-proximal GW solvers.
+        the feature-similarity initialisation uses.
     """
     if log_kernel is None:
         cost, mu, nu = _validate_inputs(cost, mu, nu)

@@ -21,10 +21,10 @@ as future work.  This subsystem implements that route as a pipeline:
    (:mod:`repro.scale.boundary`) — recovering most of what LIME simply
    writes off (≈20 % of links at 75 parts).
 
-Everything downstream stays sparse: :class:`PartitionedAlignment`
-exposes top-k candidates and discrete matchings without ever calling
-``toarray()``, and :mod:`repro.eval.metrics` consumes the CSR plan
-directly.
+Everything downstream stays sparse: :meth:`PartitionedAlignment.decode`
+runs every registered decoder on the CSR plan, and
+:mod:`repro.eval.metrics` (Hit@k, MRR, ``sparse_topk``) consumes it
+directly — neither ever calls ``toarray()``.
 """
 
 from __future__ import annotations
@@ -81,34 +81,18 @@ class PartitionedAlignment:
         """Materialise the global plan (small problems only).
 
         Raises :class:`GraphError` above :data:`DENSE_GUARD_ENTRIES`
-        entries unless ``force=True`` — use :meth:`top_k` /
-        :meth:`matching` or the sparse-aware metrics instead.
+        entries unless ``force=True`` — use :meth:`decode`,
+        :func:`repro.eval.sparse_topk` or the sparse-aware metrics
+        instead.
         """
         n, m = self.plan.shape
         if not force and n * m > DENSE_GUARD_ENTRIES:
             raise GraphError(
                 f"refusing to densify a {n}x{m} plan "
-                f"({n * m} entries > {DENSE_GUARD_ENTRIES}); use top_k()/"
-                "matching() or pass force=True"
+                f"({n * m} entries > {DENSE_GUARD_ENTRIES}); use decode(), "
+                "repro.eval.sparse_topk or pass force=True"
             )
         return self.plan.toarray()
-
-    def top_k(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k candidate columns and scores per source row, sparse.
-
-        Returns ``(cols, scores)`` of shape ``(n, k)``; rows with fewer
-        than ``k`` stored entries are padded with column ``-1`` and
-        score ``0.0``.  Columns are ordered by decreasing score (ties
-        by increasing column index).  Never densifies.
-        """
-        from repro.eval.metrics import sparse_topk
-
-        return sparse_topk(self.plan, k)
-
-    def matching(self) -> np.ndarray:
-        """Discrete argmax matching per source row (−1 for empty rows)."""
-        cols, _ = self.top_k(1)
-        return cols[:, 0]
 
     def decode(self, decoder: str | None = None):
         """Decode the stitched CSR plan through the decoder registry.
@@ -138,8 +122,10 @@ class DivideAndConquerAligner:
         Recursive bisection stops once a source part is at most this
         large (ignored when ``n_parts`` is given).
     min_block_size:
-        Parts smaller than this are merged into their sibling to avoid
-        degenerate GW problems.
+        Smallest part either partitioner may cut, to avoid degenerate
+        GW problems: bisection halves a block in Fiedler order rather
+        than cut off a smaller side, and ``n_parts`` must leave blocks
+        at least this large.
     n_parts:
         Direct k-way partitioning into exactly this many size-balanced
         parts (the executor-friendly mode: balanced parts give
@@ -155,22 +141,6 @@ class DivideAndConquerAligner:
         Run the anchor-based boundary-repair pass on the stitched plan
         (default on; it is pure post-processing and recovers cross-part
         correspondences the blocks cannot see).
-    min_agreement:
-        Anchor-agreement threshold for a cross-part patch.
-    block_init:
-        ``"auto"`` (default) enables the paper's Sec. V-C
-        feature-similarity initialisation for the block solves whenever
-        the pair actually gets partitioned (≥ 2 blocks) and the feature
-        spaces are comparable.  A block sees only a fragment of the
-        global structure, so block-level GW is prone to
-        community-permutation local optima that the whole-graph solve
-        escapes — the informative init anchors node identity and
-        removes that failure mode (measured: 1–5 % → 78–94 % block
-        Hit@1 on 90-node three-community blocks).  ``"config"`` leaves
-        the per-block configuration exactly as passed; a single-block
-        fit always does (it *is* the whole problem, so
-        ``DivideAndConquerAligner`` with one part stays equivalent to
-        plain SLOTAlign).
     solver_backend:
         Dense engine backend used for every block solve (default
         ``"fused-dense"``; block results are bitwise-identical across
@@ -186,18 +156,12 @@ class DivideAndConquerAligner:
         executor: str = "serial",
         max_workers: int | None = None,
         boundary_repair: bool = True,
-        min_agreement: float = 2.0,
-        block_init: str = "auto",
         solver_backend: str = "fused-dense",
     ):
         if max_block_size < 2 * min_block_size:
             raise GraphError("max_block_size must be at least 2x min_block_size")
         if n_parts is not None and n_parts < 1:
             raise GraphError(f"n_parts must be >= 1, got {n_parts}")
-        if block_init not in ("auto", "config"):
-            raise GraphError(
-                f"block_init must be 'auto' or 'config', got {block_init!r}"
-            )
         # lazy import: repro.scale must stay importable before
         # repro.engine finishes initialising (core/__init__ imports us)
         from repro.engine.backends import ensure_dense_backend
@@ -210,8 +174,6 @@ class DivideAndConquerAligner:
         self.executor = executor
         self.max_workers = max_workers
         self.boundary_repair = boundary_repair
-        self.min_agreement = min_agreement
-        self.block_init = block_init
         self.solver_backend = solver_backend
 
     # ------------------------------------------------------------------
@@ -279,7 +241,6 @@ class DivideAndConquerAligner:
                     plan,
                     [src for src, _ in partitions],
                     [tgt for _, tgt in partitions],
-                    min_agreement=self.min_agreement,
                 )
                 extras["repair"] = stats.as_dict()
         return PartitionedAlignment(
@@ -297,12 +258,21 @@ class DivideAndConquerAligner:
         target: AttributedGraph,
         n_blocks: int,
     ) -> SLOTAlignConfig:
-        """Per-block solver configuration (see ``block_init``)."""
-        if (
-            self.block_init == "auto"
-            and n_blocks > 1
-            and features_comparable(source, target)
-        ):
+        """Per-block solver configuration.
+
+        A partitioned pair (≥ 2 blocks) with comparable feature spaces
+        solves its blocks with the paper's Sec. V-C feature-similarity
+        initialisation.  A block sees only a fragment of the global
+        structure, so block-level GW is prone to community-permutation
+        local optima that the whole-graph solve escapes — the
+        informative init anchors node identity and removes that
+        failure mode (measured: 1–5 % → 78–94 % block Hit@1 on 90-node
+        three-community blocks).  A single-block fit keeps the
+        configuration exactly as passed: it *is* the whole problem, so
+        ``DivideAndConquerAligner`` with one part stays equivalent to
+        plain SLOTAlign.
+        """
+        if n_blocks > 1 and features_comparable(source, target):
             # the informative init replaces the committed-vertex start:
             # a block solve that both starts β at the node vertex and
             # initialises π from feature similarity over-commits to the

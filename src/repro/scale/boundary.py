@@ -43,6 +43,10 @@ from repro.graphs.partition import (
     partition_assignment,
 )
 
+_MIN_AGREEMENT = 2.0
+"""Minimum anchor-agreement count for a cross-part patch: a pair
+supported by a single anchor is indistinguishable from noise."""
+
 _PATCH_BOOST = 1.0625
 """A repaired entry is set to this multiple of the row's previous
 maximum: enough to win the argmax outright (and survive the row's mass
@@ -116,17 +120,12 @@ def repair_plan(
     plan: sp.csr_array,
     source_parts: list[np.ndarray],
     target_parts: list[np.ndarray],
-    min_agreement: float = 2.0,
 ) -> tuple[sp.csr_array, RepairStats]:
     """Patch cross-part correspondences back into a stitched plan.
 
-    Parameters
-    ----------
-    min_agreement:
-        Minimum anchor-agreement count for a cross-part patch; pairs
-        supported by a single anchor are indistinguishable from noise.
-
-    Returns the patched plan (CSR, same shape) and a :class:`RepairStats`.
+    A candidate needs at least :data:`_MIN_AGREEMENT` supporting
+    anchors.  Returns the patched plan (CSR, same shape) and a
+    :class:`RepairStats`.
     """
     stats = RepairStats()
     n, m = plan.shape
@@ -157,7 +156,7 @@ def repair_plan(
         & (part_u >= 0)
         & (part_t >= 0)
         & (part_u != part_t)
-        & (coo.data >= min_agreement)
+        & (coo.data >= _MIN_AGREEMENT)
     )
     # adjacency restriction (vectorised lookup table — the agreement
     # matrix scales with anchor-degree products, so a per-entry Python

@@ -4,7 +4,8 @@ Two partitioners over the **source** graph:
 
 * :func:`bisect_partition` — the original recursive spectral bisection,
   stopping once every part is at most ``max_block_size`` (parts follow
-  the graph's natural cluster boundaries; sizes may be uneven);
+  the graph's natural cluster boundaries; sizes may be uneven, but
+  never below ``min_block_size``);
 * :func:`kway_partition` — recursive bisection *generalised to direct
   k-way with size balancing*: the recursion splits the requested part
   count ``k`` into ``⌈k/2⌉ + ⌊k/2⌋`` and cuts the Fiedler-sorted node
@@ -75,14 +76,23 @@ def fiedler_vector(graph: AttributedGraph) -> np.ndarray:
     return vec
 
 
-def spectral_bisect(graph: AttributedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect by the Fiedler vector of the normalised adjacency."""
+def spectral_bisect(
+    graph: AttributedGraph, min_block_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect by the Fiedler vector of the normalised adjacency.
+
+    Cuts at the median Fiedler value.  When that leaves a side with
+    fewer than ``min_block_size`` nodes (or none: ties at the median,
+    a handful of outliers on one side) it halves the Fiedler order
+    instead, so a graph of at least ``2 * min_block_size`` nodes always
+    splits into two sides of at least ``min_block_size``.
+    """
     # second-largest eigenvector of Â == Fiedler direction of Laplacian
     fiedler = fiedler_vector(graph)
     median = np.median(fiedler)
     left = np.flatnonzero(fiedler <= median)
     right = np.flatnonzero(fiedler > median)
-    if left.size == 0 or right.size == 0:
+    if min(left.size, right.size) < max(min_block_size, 1):
         half = graph.n_nodes // 2
         order = np.argsort(fiedler, kind="stable")
         left, right = order[:half], order[half:]
@@ -96,9 +106,13 @@ def bisect_partition(
 ) -> list[np.ndarray]:
     """Recursive spectral bisection until every part is small enough.
 
-    Parts smaller than ``min_block_size`` are merged back into their
-    sibling to avoid degenerate GW problems.
+    Every part of a graph larger than ``max_block_size`` ends up with
+    between ``min_block_size`` and ``max_block_size`` nodes (see
+    :func:`spectral_bisect`), which is why ``max_block_size`` must be
+    at least ``2 * min_block_size``.
     """
+    if max_block_size < 2 * min_block_size:
+        raise GraphError("max_block_size must be at least 2x min_block_size")
     parts: list[np.ndarray] = []
     stack = [np.arange(graph.n_nodes)]
     while stack:
@@ -106,10 +120,7 @@ def bisect_partition(
         if idx.size <= max_block_size:
             parts.append(idx)
             continue
-        left, right = spectral_bisect(graph.subgraph(idx))
-        if left.size < min_block_size or right.size < min_block_size:
-            parts.append(idx)
-            continue
+        left, right = spectral_bisect(graph.subgraph(idx), min_block_size)
         stack.append(idx[left])
         stack.append(idx[right])
     return parts

@@ -95,8 +95,6 @@ class AlignmentService:
     max_batch:
         Largest number of jobs one coalesced solve may absorb;
         ``max_batch=1`` turns coalescing off.
-    evaluate_ks:
-        ``k`` values for Hits@k when a job carries ground truth.
     decoder:
         Default decoder applied to every solved plan (jobs may
         override per-submit).  ``None`` skips the decode stage and
@@ -120,7 +118,6 @@ class AlignmentService:
         policy: AdmissionPolicy | None = None,
         workers: int = 1,
         max_batch: int = 8,
-        evaluate_ks=(1, 5, 10, 30),
         decoder: str | None = None,
         precision: str = DEFAULT_PRECISION,
     ):
@@ -141,14 +138,8 @@ class AlignmentService:
         self.coalesce = backend == DEFAULT_BACKEND and max_batch > 1
         self._classical = backend not in partial_backends()
         self.max_batch = max_batch
-        self.evaluate_ks = tuple(evaluate_ks)
         self.decoder = ensure_decoder(decoder) if decoder is not None else None
         self._queue = JobQueue()
-        self._decoder_lock = threading.Lock()
-        # decoder instances are stateless but construction goes through
-        # the registry; memoised per name so the per-job decode stage
-        # does one dict hit instead of a registry lookup
-        self._decoders: dict = {}  #: guarded-by: _decoder_lock
         self._lifecycle_lock = threading.Lock()
         self._threads: list[threading.Thread] = []  #: guarded-by: _lifecycle_lock
         self._stats_lock = threading.Lock()
@@ -222,7 +213,9 @@ class AlignmentService:
         violated budget) and never enters the queue.  ``decoder`` and
         ``precision`` override the service defaults for this job only;
         unknown names (or a precision the backend lacks) fail *here*,
-        synchronously, with the registry's choice-naming error.
+        synchronously, with the registry's choice-naming error.  A job
+        with ``ground_truth`` reports Hits@{1, 5, 10, 30} and MRR, the
+        evaluate stage's default cutoffs.
         """
         if precision is not None:
             precision = ensure_backend_precision(self.backend, precision)
@@ -273,15 +266,6 @@ class AlignmentService:
 
     # ------------------------------------------------------------------
     # worker side
-    def _decoder_for(self, name: str):
-        """Memoised decoder instance for ``name`` (worker threads race)."""
-        with self._decoder_lock:
-            instance = self._decoders.get(name)
-            if instance is None:
-                instance = get_decoder(name)
-                self._decoders[name] = instance
-        return instance
-
     def _compatible(self, head: Job, other: Job) -> bool:
         return (
             other.config == head.config
@@ -366,9 +350,7 @@ class AlignmentService:
                 # use different decoders) and post-solve, so a bad
                 # plan shape fails this job alone
                 if job.decoder is not None:
-                    decoded = self._decoder_for(job.decoder).decode(
-                        result.plan
-                    )
+                    decoded = get_decoder(job.decoder).decode(result.plan)
             except Exception as exc:  # noqa: BLE001 - job isolation
                 self._finish_failed(job, f"decode failed: {exc!r}")
                 continue
@@ -379,7 +361,6 @@ class AlignmentService:
                     metrics = evaluate_alignment(
                         decoded if decoded is not None else result,
                         job.ground_truth,
-                        ks=self.evaluate_ks,
                     )
             except Exception as exc:  # noqa: BLE001 - job isolation
                 self._finish_failed(job, f"evaluate failed: {exc!r}")

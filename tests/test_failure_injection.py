@@ -3,11 +3,24 @@ degrade gracefully, never return silent garbage."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.baselines import KNNAligner
 from repro.core import SLOTAlign, SLOTAlignConfig
-from repro.engine import AlignmentEngine, PlanCache
-from repro.exceptions import ConvergenceError, GraphError, ReproError
+from repro.engine import (
+    AlignmentEngine,
+    PlanCache,
+    available_decoders,
+    evaluate_alignment,
+    get_decoder,
+)
+from repro.eval import evaluate_plan, hits_at_k
+from repro.exceptions import (
+    ConvergenceError,
+    GraphError,
+    ReproError,
+    ShapeError,
+)
 from repro.graphs import AttributedGraph, erdos_renyi_graph, permute_graph
 from repro.ot import (
     proximal_gromov_wasserstein,
@@ -126,6 +139,61 @@ class TestNumericalPoison:
         result = proximal_gromov_wasserstein(zero, zero, max_iter=10)
         # uniform coupling is optimal and must be returned intact
         np.testing.assert_allclose(result.plan, 1.0 / 36, atol=1e-9)
+
+
+_DIAGONAL = np.array([[0, 0], [1, 1], [2, 2]])
+
+#: every function a plan enters scoring or decoding through
+_PLAN_CONSUMERS = {
+    "evaluate_plan": lambda plan: evaluate_plan(plan, _DIAGONAL),
+    "hits_at_k": lambda plan: hits_at_k(plan, _DIAGONAL, 1),
+    "evaluate_alignment": lambda plan: evaluate_alignment(plan, _DIAGONAL),
+    **{
+        f"decode-{name}": (lambda plan, name=name: get_decoder(name).decode(plan))
+        for name in available_decoders()
+    },
+}
+
+
+def _poisoned(kind):
+    plan = np.full((3, 3), 0.1)
+    if kind == "all-nan":
+        # NaN equals nothing, itself included: unchecked, every true
+        # target ranks -0.5, which reads as Hit@1 100 and MRR 2.0
+        plan[:] = np.nan
+    elif kind == "one-nan":
+        plan[0, 0] = np.nan
+    else:
+        plan[0, 1] = np.inf
+    return plan
+
+
+class TestNonFinitePlans:
+    """A diverged solve must never score or decode as an alignment:
+    every plan consumer rejects NaN and inf, on dense entries and on
+    the stored values of a CSR plan alike."""
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("kind", ["all-nan", "one-nan", "one-inf"])
+    @pytest.mark.parametrize("consumer", sorted(_PLAN_CONSUMERS))
+    def test_non_finite_plan_raises(self, consumer, kind, layout):
+        plan = _poisoned(kind)
+        if layout == "csr":
+            plan = sp.csr_array(plan)
+        with pytest.raises(
+            ConvergenceError, match="plan contains non-finite entries"
+        ):
+            _PLAN_CONSUMERS[consumer](plan)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [np.empty((0, 0)), sp.csr_array((0, 0)), np.ones(3)],
+        ids=["dense-empty", "csr-empty", "one-dimensional"],
+    )
+    @pytest.mark.parametrize("consumer", sorted(_PLAN_CONSUMERS))
+    def test_malformed_plan_raises_shape_error(self, consumer, plan):
+        with pytest.raises(ShapeError):
+            _PLAN_CONSUMERS[consumer](plan)
 
 
 class TestUnbalancedLogKernelInputs:

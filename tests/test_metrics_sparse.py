@@ -120,9 +120,9 @@ class TestNoDensification:
         monkeypatch.setattr(sp.coo_array, "toarray", boom)
         assert hits_at_k(out.plan, gt, 1) == 100.0
         assert mean_reciprocal_rank(out.plan, gt) == 1.0
-        cols, _ = out.top_k(5)
+        cols, _ = sparse_topk(out.plan, 5)
         assert np.array_equal(cols[:, 0], np.arange(2100))
-        assert np.array_equal(out.matching(), np.arange(2100))
+        assert np.array_equal(out.decode().matching, np.arange(2100))
         report = evaluate_plan(out.plan, gt, ks=(1, 5))
         assert report["hits@1"] == 100.0
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import DivideAndConquerAligner, SLOTAlignConfig
 from repro.datasets import make_semi_synthetic_pair
-from repro.eval import hits_at_k
+from repro.eval import hits_at_k, sparse_topk
 from repro.exceptions import GraphError
 from repro.graphs import stochastic_block_model
 from repro.graphs.features import community_bag_of_words
@@ -105,10 +105,10 @@ class TestScaleSubsystemIntegration:
         out = DivideAndConquerAligner(FAST_CFG, n_parts=3).fit(
             pair.source, pair.target
         )
-        cols, scores = out.top_k(5)
+        cols, scores = sparse_topk(out.plan, 5)
         n = pair.source.n_nodes
         assert cols.shape == scores.shape == (n, 5)
-        matching = out.matching()
+        matching = out.decode().matching
         assert matching.shape == (n,)
         # top-1 column agrees with the matching, scores are descending
         assert np.array_equal(cols[:, 0], matching)

@@ -131,7 +131,24 @@ class TestPartitioners:
     def test_bisect_respects_size_cap(self):
         graph = stochastic_block_model([20] * 4, 0.35, 0.01, seed=2)
         parts = bisect_partition(graph, max_block_size=30, min_block_size=8)
-        assert all(p.size <= 30 or p.size < 16 for p in parts)
+        assert all(8 <= p.size <= 30 for p in parts)
+        covered = np.concatenate(parts)
+        assert sorted(covered.tolist()) == list(range(graph.n_nodes))
+
+    def test_bisect_parts_stay_within_block_bounds(self, monkeypatch):
+        """A median cut that strands a few nodes on one side halves the
+        Fiedler order instead of keeping the oversized block."""
+
+        def lopsided(graph):
+            # three nodes above the median, every other node tied below
+            vec = np.zeros(graph.n_nodes)
+            vec[-3:] = 1.0
+            return vec
+
+        monkeypatch.setattr("repro.scale.partition.fiedler_vector", lopsided)
+        graph = stochastic_block_model([41] * 3, 0.3, 0.02, seed=0)
+        parts = bisect_partition(graph, max_block_size=40, min_block_size=8)
+        assert all(8 <= p.size <= 40 for p in parts)
         covered = np.concatenate(parts)
         assert sorted(covered.tolist()) == list(range(graph.n_nodes))
 

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from repro.exceptions import ConvergenceError, ShapeError
 from repro.ot import (
     emd,
-    sinkhorn,
     sinkhorn_log,
     sinkhorn_log_kernel_fast,
-    sinkhorn_projection,
     transport_cost,
 )
 from repro.ot.sinkhorn import _SUBNORMAL_FLUSH, SinkhornResult
@@ -25,48 +23,7 @@ def random_problem(n, m, seed=0):
     return cost, mu, nu
 
 
-class TestSinkhorn:
-    def test_marginals_satisfied(self):
-        cost, mu, nu = random_problem(6, 8)
-        result = sinkhorn(cost, mu, nu, epsilon=0.1)
-        np.testing.assert_allclose(result.plan.sum(axis=1), mu, atol=1e-6)
-        np.testing.assert_allclose(result.plan.sum(axis=0), nu, atol=1e-6)
-
-    def test_nonnegative_plan(self):
-        cost, mu, nu = random_problem(5, 5, seed=1)
-        result = sinkhorn(cost, mu, nu, epsilon=0.05)
-        assert np.all(result.plan >= 0)
-
-    def test_converged_flag(self):
-        cost, mu, nu = random_problem(4, 4, seed=2)
-        result = sinkhorn(cost, mu, nu, epsilon=0.5, max_iter=2000)
-        assert result.converged
-
-    def test_invalid_epsilon(self):
-        cost, mu, nu = random_problem(3, 3)
-        with pytest.raises(ValueError):
-            sinkhorn(cost, mu, nu, epsilon=-1.0)
-
-    def test_underflow_raises(self):
-        # an entire row underflows to zero in the kernel domain
-        cost = np.array([[1e6, 1e6], [0.0, 0.0]])
-        mu = nu = np.array([0.5, 0.5])
-        with pytest.raises(ConvergenceError):
-            sinkhorn(cost, mu, nu, epsilon=1e-4)
-
-    def test_bad_marginal_shape(self):
-        cost, mu, nu = random_problem(3, 4)
-        with pytest.raises(ShapeError):
-            sinkhorn(cost, mu[:2], nu)
-
-
 class TestSinkhornLog:
-    def test_agrees_with_kernel_domain(self):
-        cost, mu, nu = random_problem(7, 5, seed=3)
-        a = sinkhorn(cost, mu, nu, epsilon=0.2, max_iter=3000, tol=1e-12)
-        b = sinkhorn_log(cost, mu, nu, epsilon=0.2, max_iter=3000, tol=1e-12)
-        np.testing.assert_allclose(a.plan, b.plan, atol=1e-6)
-
     def test_stable_at_tiny_epsilon(self):
         cost, mu, nu = random_problem(6, 6, seed=4)
         result = sinkhorn_log(cost, mu, nu, epsilon=1e-3, max_iter=5000)
@@ -106,20 +63,6 @@ class TestSinkhornLog:
         result = sinkhorn_log(cost, mu, nu, epsilon=0.1, max_iter=2000)
         np.testing.assert_allclose(result.plan.sum(axis=1), mu, atol=1e-5)
         np.testing.assert_allclose(result.plan.sum(axis=0), nu, atol=1e-5)
-
-
-class TestSinkhornProjection:
-    def test_projects_kernel(self):
-        rng = np.random.default_rng(7)
-        kernel = rng.random((5, 5)) + 0.1
-        mu = nu = np.full(5, 0.2)
-        result = sinkhorn_projection(kernel, mu, nu, max_iter=2000)
-        np.testing.assert_allclose(result.plan.sum(axis=1), mu, atol=1e-7)
-
-    def test_negative_kernel_rejected(self):
-        mu = nu = np.array([0.5, 0.5])
-        with pytest.raises(ValueError):
-            sinkhorn_projection(np.array([[1.0, -1.0], [1.0, 1.0]]), mu, nu)
 
 
 def _reference_kernel_fast(log_kernel, mu, nu, max_iter=50, tol=0.0):
