@@ -8,15 +8,17 @@ Commands
     Print structural statistics of a stand-in graph.
 ``align``
     Build a semi-synthetic pair from a stand-in, run an aligner, print
-    Hit@k.  ``--backend`` selects the engine solver backend for the
-    SLOTAlign-based methods.
+    Hit@k.  ``--backend`` selects the dense engine solver backend for
+    method ``slotalign``.
 ``engine``
     Drive the plan → solve → evaluate pipeline explicitly: pick any
     registered solver backend (``--backend``), inspect the registry
-    (``--list-backends``) and see per-stage wall-clock.  ``--partial
-    {dummy,unbalanced}`` builds a partially-overlapping pair instead
-    (``--overlap`` / ``--anchor-fraction``) and routes the solve
-    through the matching partial backend, reporting Hit@k on the
+    (``--list-backends``) and see per-stage wall-clock.  The ``sparse``
+    backend takes the partition flags (``--n-parts``,
+    ``--max-block-size``, ``--executor``, ``--no-boundary-repair``).
+    ``--partial {dummy,unbalanced}`` builds a partially-overlapping
+    pair instead (``--overlap`` / ``--anchor-fraction``) and routes the
+    solve through the matching partial backend, reporting Hit@k on the
     matchable nodes plus unmatchable-detection precision/recall.
 ``serve``
     Run the in-process alignment service against a synthetic traffic
@@ -68,7 +70,7 @@ from repro.engine import (
 from repro.eval import evaluate_plan
 from repro.exceptions import ConfigError, ReproError
 from repro.graphs import structural_summary
-from repro.scale import DivideAndConquerAligner
+from repro.scale import EXECUTORS
 
 
 def _slot_config(args) -> SLOTAlignConfig:
@@ -100,14 +102,6 @@ ALIGNER_FACTORIES = {
         ),
         precision=args.precision,
     ),
-    "partitioned": lambda args: DivideAndConquerAligner(
-        _slot_config(args),
-        max_block_size=args.max_block_size,
-        n_parts=args.n_parts,
-        executor=args.executor,
-        boundary_repair=not args.no_boundary_repair,
-        solver_backend=_resolve_backend(args.backend, dense_only=True),
-    ),
     "knn": lambda args: KNNAligner(),
     "gwd": lambda args: GWDAligner(max_iter=args.iters),
     "fusedgw": lambda args: FusedGWAligner(max_iter=args.iters),
@@ -132,10 +126,10 @@ def _resolve_backend(
     """Validate a solver-backend name against the engine registry.
 
     ``dense_only`` additionally rejects backends that return sparse
-    results (the SLOTAlign-shaped methods consume dense plans; the
-    sparse pipeline is reachable via ``--method partitioned`` or
-    ``engine --backend sparse``), and ``precision`` must be one the
-    backend solves at.  No backend instance is constructed.
+    results (method ``slotalign`` consumes dense plans; the sparse
+    pipeline is reachable via ``engine --backend sparse``), and
+    ``precision`` must be one the backend solves at.  No backend
+    instance is constructed.
     """
     try:
         if dense_only:
@@ -208,21 +202,6 @@ def _add_solver_options(parser: argparse.ArgumentParser) -> None:
         help="solve-stage working precision; float32 steps fused-dense "
         "in reduced precision (decisions stay float64)",
     )
-    # partitioned-pipeline knobs (method "partitioned" / backend "sparse")
-    parser.add_argument(
-        "--n-parts", type=int, default=None,
-        help="direct k-way partition count (default: size-driven bisection)",
-    )
-    parser.add_argument("--max-block-size", type=int, default=400)
-    parser.add_argument(
-        "--executor", choices=("serial", "thread", "process", "auto"),
-        default="auto",
-        help="block execution backend (results are bitwise-identical)",
-    )
-    parser.add_argument(
-        "--no-boundary-repair", action="store_true",
-        help="disable the anchor-based boundary-repair pass",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,6 +271,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--partial-rho", type=float, default=1.0,
         help="KL marginal-relaxation strength for --partial unbalanced",
     )
+    # partitioned-pipeline knobs (--backend sparse)
+    engine.add_argument(
+        "--n-parts", type=int, default=None,
+        help="k-way partition count (default: the smallest power of two "
+        "that brings every part under --max-block-size)",
+    )
+    engine.add_argument("--max-block-size", type=int, default=400)
+    engine.add_argument(
+        "--executor", choices=EXECUTORS, default="auto",
+        help="block execution backend (results are bitwise-identical)",
+    )
+    engine.add_argument(
+        "--no-boundary-repair", action="store_true",
+        help="disable the anchor-based boundary-repair pass",
+    )
     _add_pair_options(engine)
     _add_solver_options(engine)
 
@@ -357,16 +351,11 @@ def _build_pair(args):
     )
 
 
-_ENGINE_METHODS = ("partitioned", "slotalign")
-"""``align`` methods that consume the ``--backend`` selection."""
-
-
 def _run_align(args) -> int:
-    if args.method not in _ENGINE_METHODS and args.backend != DEFAULT_BACKEND:
+    if args.method != "slotalign" and args.backend != DEFAULT_BACKEND:
         raise SystemExit(
-            f"--backend only applies to the engine-routed methods "
-            f"({', '.join(_ENGINE_METHODS)}); method {args.method!r} "
-            "ignores it"
+            "--backend only applies to the engine-routed method "
+            f"slotalign; method {args.method!r} ignores it"
         )
     if args.precision != "float64" and args.method != "slotalign":
         raise SystemExit(
@@ -378,11 +367,6 @@ def _run_align(args) -> int:
     result = aligner.fit(pair.source, pair.target)
     print(f"method   {args.method}")
     print(f"runtime  {result.runtime:.2f}s")
-    if args.method == "partitioned":
-        repair = result.extras.get("repair", {})
-        print(f"parts    {result.extras['n_parts']}")
-        print(f"executor {result.extras['executor']}")
-        print(f"patched  {repair.get('n_patched', 0)}")
     for key, value in evaluate_plan(
         result.plan, pair.ground_truth, ks=(1, 5, 10)
     ).items():

@@ -4,7 +4,6 @@ from repro.core.config import (
     SLOTAlignConfig,
     SEMI_SYNTHETIC_CONFIG,
     REAL_WORLD_CONFIG,
-    DBP15K_CONFIG,
 )
 from repro.core.views import (
     build_relation_bases,
@@ -23,7 +22,6 @@ __all__ = [
     "SLOTAlignConfig",
     "SEMI_SYNTHETIC_CONFIG",
     "REAL_WORLD_CONFIG",
-    "DBP15K_CONFIG",
     "build_relation_bases",
     "build_structure_bases",
     "center_kernel",

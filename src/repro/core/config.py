@@ -283,20 +283,8 @@ REAL_WORLD_CONFIG = SLOTAlignConfig(
     use_feature_similarity_init=True,
     anneal=False,
 )
-"""Paper defaults for Douban / ACM-DBLP (plus the degenerate-view fixes
-and the Sec. V-C similarity initialisation, which the stand-in protocol
-extends to the real-world pairs; annealing exists to break uniform-init
-symmetry, so it is off whenever the informative init is on)."""
-
-DBP15K_CONFIG = SLOTAlignConfig(
-    n_bases=4,
-    structure_lr=1.0,
-    sinkhorn_lr=0.01,
-    tie_weights=True,
-    center_kernels=True,
-    renormalize_hops=True,
-    hop_mix=0.5,
-    use_feature_similarity_init=True,
-    anneal=False,
-)
-"""Paper defaults for the KG alignment benchmark."""
+"""Paper defaults for Douban / ACM-DBLP and the DBP15K KG benchmark
+(plus the degenerate-view fixes and the Sec. V-C similarity
+initialisation, which the stand-in protocol extends to the real-world
+pairs; annealing exists to break uniform-init symmetry, so it is off
+whenever the informative init is on)."""

@@ -229,34 +229,20 @@ class SparsePartitionBackend:
     """Divide-and-conquer backend over :mod:`repro.scale`.
 
     Partitions both graphs, solves every block pair with a dense
-    engine backend (``block_backend``), stitches the block plans into
-    a global CSR matrix and runs anchor-based boundary repair.  The
-    whole-pair structure bases are never built — the plan stage's
-    laziness is what makes one engine front both regimes.
+    engine backend, stitches the block plans into a global CSR matrix
+    and runs anchor-based boundary repair.  The whole-pair structure
+    bases are never built — the plan stage's laziness is what makes
+    one engine front both regimes.  Keyword options go to
+    :class:`~repro.scale.aligner.DivideAndConquerAligner` unchanged;
+    only the executor default differs: ``"auto"``, a process pool
+    wherever more than one CPU is visible.
     """
 
     name = "sparse"
     kind = "sparse"
 
-    def __init__(
-        self,
-        max_block_size: int = 400,
-        min_block_size: int = 8,
-        n_parts: int | None = None,
-        executor: str = "auto",
-        max_workers: int | None = None,
-        boundary_repair: bool = True,
-        block_backend: str = DEFAULT_BACKEND,
-    ):
-        self.options = dict(
-            max_block_size=max_block_size,
-            min_block_size=min_block_size,
-            n_parts=n_parts,
-            executor=executor,
-            max_workers=max_workers,
-            boundary_repair=boundary_repair,
-            solver_backend=block_backend,
-        )
+    def __init__(self, executor: str = "auto", **options):
+        self.options = dict(options, executor=executor)
 
     def solve(self, problem: PreparedProblem):
         # imported lazily: repro.scale pulls in the executor machinery,

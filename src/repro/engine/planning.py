@@ -143,8 +143,8 @@ class PlanCache:
     in bytes rather than entry counts).
 
     Thread-safe: the shared process-wide cache is reached from the
-    scale pipeline's ``thread`` executor and the serving worker pool,
-    so lookups, LRU bookkeeping and eviction run under one lock.
+    serving worker pool's threads, so lookups, LRU bookkeeping and
+    eviction run under one lock.
     Basis *construction* happens outside the lock under a
     **single-flight** discipline: the first requester of a key becomes
     its builder, concurrent requesters park on a per-key event and

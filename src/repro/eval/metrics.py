@@ -115,12 +115,12 @@ def sparse_topk(plan, k: int) -> tuple[np.ndarray, np.ndarray]:
     entries ordered by decreasing score (ties by increasing column),
     padded with column ``-1`` / score ``0.0`` when a row stores fewer
     than ``k`` entries.  Accepts dense input too (for API symmetry).
+    The plan passes :func:`~repro.utils.validation.check_plan` first,
+    so a non-finite entry raises instead of ranking.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not sp.issparse(plan):
-        plan = sp.csr_array(np.asarray(plan, dtype=np.float64))
-    csr = sorted_csr(plan)
+    csr = sorted_csr(check_plan(plan))
     n = csr.shape[0]
     cols = np.full((n, k), -1, dtype=np.int64)
     scores = np.zeros((n, k))
@@ -146,7 +146,13 @@ def sparse_topk(plan, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def alignment_accuracy(matching: np.ndarray, ground_truth: np.ndarray) -> float:
-    """Fraction (percent) of anchors whose discrete match is correct."""
+    """Fraction (percent) of anchors whose discrete match is correct.
+
+    Ground-truth indices must be non-negative in both columns: a
+    negative source index would wrap to the last rows, and a negative
+    target would count a row the decoder left unmatched (``-1``) as
+    correct.
+    """
     matching = np.asarray(matching, dtype=np.int64)
     gt = np.asarray(ground_truth, dtype=np.int64)
     if gt.ndim != 2 or gt.shape[1] != 2:
@@ -155,6 +161,8 @@ def alignment_accuracy(matching: np.ndarray, ground_truth: np.ndarray) -> float:
         return 0.0
     if gt[:, 0].max() >= matching.shape[0]:
         raise ShapeError("ground truth references nodes beyond the matching")
+    if gt.min() < 0:
+        raise ShapeError("ground truth indices must be non-negative")
     return float(np.mean(matching[gt[:, 0]] == gt[:, 1]) * 100.0)
 
 

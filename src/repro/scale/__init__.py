@@ -1,8 +1,8 @@
 """Large-graph alignment subsystem: partition → align → stitch → repair.
 
 Public surface of the divide-and-conquer pipeline (paper Sec. IV-D
-future work, made concrete): partitioners, the block executor, the
-boundary-repair pass and the orchestrating aligner.
+future work, made concrete): the k-way partitioner, the block
+executor, the boundary-repair pass and the orchestrating aligner.
 """
 
 from repro.scale.aligner import (
@@ -23,7 +23,6 @@ from repro.scale.diagnostics import (
 )
 from repro.scale.executor import (
     EXECUTORS,
-    align_block,
     available_cpus,
     resolve_executor,
     run_blocks,
@@ -31,11 +30,9 @@ from repro.scale.executor import (
 from repro.scale.partition import (
     assign_target,
     assignment_scores,
-    bisect_partition,
     fiedler_vector,
     kway_partition,
     rebalance,
-    spectral_bisect,
 )
 
 __all__ = [
@@ -50,15 +47,12 @@ __all__ = [
     "hit1_mask",
     "inject_misassignment",
     "EXECUTORS",
-    "align_block",
     "available_cpus",
     "resolve_executor",
     "run_blocks",
     "assign_target",
     "assignment_scores",
-    "bisect_partition",
     "fiedler_vector",
     "kway_partition",
     "rebalance",
-    "spectral_bisect",
 ]

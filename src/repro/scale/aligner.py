@@ -5,13 +5,14 @@ LIME's bi-directional graph-partition strategy (METIS-based) and
 LargeEA's mini-batching as the route to million-node graphs, leaving it
 as future work.  This subsystem implements that route as a pipeline:
 
-1. **partition** both graphs jointly: the source graph is cut by
-   recursive spectral bisection (``max_block_size``) or direct k-way
-   balanced partitioning (``n_parts``); target nodes are assigned to
+1. **partition** both graphs jointly: the source graph is cut into
+   size-balanced parts by direct k-way spectral partitioning, either
+   into ``n_parts`` parts or into the power-of-two count that brings
+   every part under ``max_block_size``; target nodes are assigned to
    the source parts through cheap intra-graph signatures, mimicking
    LIME's bi-directional partition matching;
 2. **align** each subgraph pair with SLOTAlign, serially or on a
-   worker pool (:mod:`repro.scale.executor` — pure scheduling, block
+   process pool (:mod:`repro.scale.executor` — pure scheduling, block
    results are bitwise-identical across backends);
 3. **stitch** the block plans into one global sparse correspondence
    matrix (CSR, block-structured);
@@ -43,7 +44,6 @@ from repro.scale.boundary import repair_plan
 from repro.scale.executor import run_blocks
 from repro.scale.partition import (
     assign_target,
-    bisect_partition,
     features_comparable,
     kway_partition,
 )
@@ -119,24 +119,24 @@ class DivideAndConquerAligner:
     config:
         SLOTAlign configuration used per block.
     max_block_size:
-        Recursive bisection stops once a source part is at most this
-        large (ignored when ``n_parts`` is given).
+        Without ``n_parts``, the source is cut into the smallest
+        power-of-two number of balanced parts that are each at most
+        this large (one part when the graph fits).
     min_block_size:
-        Smallest part either partitioner may cut, to avoid degenerate
-        GW problems: bisection halves a block in Fiedler order rather
-        than cut off a smaller side, and ``n_parts`` must leave blocks
-        at least this large.
+        Smallest part the partitioner may cut, to avoid degenerate GW
+        problems: ``n_parts`` must leave blocks at least this large.
+        The derived part count always does, because each of its parts
+        holds more than ``max_block_size / 2`` nodes.
     n_parts:
-        Direct k-way partitioning into exactly this many size-balanced
-        parts (the executor-friendly mode: balanced parts give
-        balanced worker loads).
+        Cut the source into exactly this many size-balanced parts
+        instead of deriving the count from ``max_block_size``.
     executor:
-        ``"serial"`` | ``"thread"`` | ``"process"`` | ``"auto"``.
-        Block results are bitwise-identical across backends; see
+        ``"serial"`` | ``"process"`` | ``"auto"``.  Block results are
+        bitwise-identical across backends; see
         :mod:`repro.scale.executor`.
     max_workers:
-        Pool size for the parallel backends (default: one per block,
-        capped at the CPU count).
+        Process-pool size (default: one per block, capped at the CPU
+        count).
     boundary_repair:
         Run the anchor-based boundary-repair pass on the stitched plan
         (default on; it is pure post-processing and recovers cross-part
@@ -158,6 +158,8 @@ class DivideAndConquerAligner:
         boundary_repair: bool = True,
         solver_backend: str = "fused-dense",
     ):
+        if min_block_size < 1:
+            raise GraphError(f"min_block_size must be >= 1, got {min_block_size}")
         if max_block_size < 2 * min_block_size:
             raise GraphError("max_block_size must be at least 2x min_block_size")
         if n_parts is not None and n_parts < 1:
@@ -286,21 +288,22 @@ class DivideAndConquerAligner:
         return self.config
 
     def _partition_source(self, graph: AttributedGraph) -> list[np.ndarray]:
-        if self.n_parts is not None:
+        n_parts = self.n_parts
+        if n_parts is None:
+            # the smallest power of two k with n / k <= max_block_size;
+            # then n / k > max_block_size / 2 >= min_block_size, and
+            # kway_partition's parts lie within one node of n / k
+            blocks = -(-graph.n_nodes // self.max_block_size)  # ceil
+            n_parts = 1 << (blocks - 1).bit_length()
+        elif graph.n_nodes // n_parts < self.min_block_size:
             # kway_partition balances sizes to within one node of n/k,
-            # so the min-size guard reduces to checking the quotient —
-            # unlike bisection there is no sibling to merge a tiny
-            # part back into
-            if graph.n_nodes // self.n_parts < self.min_block_size:
-                raise GraphError(
-                    f"n_parts={self.n_parts} would cut {graph.n_nodes} "
-                    f"nodes into blocks below min_block_size="
-                    f"{self.min_block_size}"
-                )
-            return kway_partition(graph, self.n_parts)
-        return bisect_partition(
-            graph, self.max_block_size, self.min_block_size
-        )
+            # so the min-size guard reduces to checking the quotient
+            raise GraphError(
+                f"n_parts={n_parts} would cut {graph.n_nodes} "
+                f"nodes into blocks below min_block_size="
+                f"{self.min_block_size}"
+            )
+        return kway_partition(graph, n_parts)
 
     @staticmethod
     def _stitch(

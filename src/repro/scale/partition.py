@@ -1,28 +1,23 @@
 """Joint graph partitioning for the divide-and-conquer pipeline.
 
-Two partitioners over the **source** graph:
-
-* :func:`bisect_partition` — the original recursive spectral bisection,
-  stopping once every part is at most ``max_block_size`` (parts follow
-  the graph's natural cluster boundaries; sizes may be uneven, but
-  never below ``min_block_size``);
-* :func:`kway_partition` — recursive bisection *generalised to direct
-  k-way with size balancing*: the recursion splits the requested part
-  count ``k`` into ``⌈k/2⌉ + ⌊k/2⌋`` and cuts the Fiedler-sorted node
-  order at the proportional position, so exactly ``k`` parts come out
-  with sizes differing by at most one.  This is the partitioner the
-  parallel executor wants: balanced parts give balanced worker loads.
+The source graph is cut by :func:`kway_partition`: recursive spectral
+bisection *generalised to direct k-way with size balancing*.  The
+recursion splits the requested part count ``k`` into
+``⌈k/2⌉ + ⌊k/2⌋`` and cuts the Fiedler-sorted node order at the
+proportional position, so exactly ``k`` parts come out with sizes
+differing by at most one.  Balanced parts give the parallel executor
+balanced worker loads.
 
 Target nodes are then assigned to the source parts through cheap
 intra-graph signatures (:func:`assign_target`), mimicking LIME's
 bi-directional partition matching, and rebalanced so no part receives
 more than twice its source size (:func:`rebalance`).
 
-All spectral steps are deterministic *and sign-canonical*: the Fiedler
-vector is flipped so its largest-magnitude entry is positive, which
-keeps partitions equivariant under node relabelling (eigensolvers
-return eigenvectors up to sign, and the sign would otherwise depend on
-the input ordering).
+All spectral steps are *sign-canonical*: the Fiedler vector is flipped
+so its largest-magnitude entry is positive, which keeps partitions
+equivariant under node relabelling (eigensolvers return eigenvectors
+up to sign, and the sign would otherwise depend on the input
+ordering).
 """
 
 from __future__ import annotations
@@ -45,10 +40,13 @@ def fiedler_vector(graph: AttributedGraph) -> np.ndarray:
 
     Large blocks use ``scipy.sparse.linalg.eigsh(k=2)`` on the sparse
     matrix — O(iters · nnz) instead of the dense O(n³) ``eigh`` — with
-    a deterministic start vector so partitions are reproducible.  Tiny
-    blocks, and any block where the Lanczos iteration fails to
-    converge, fall back to the dense path.  The returned vector is
-    sign-canonical (largest-magnitude entry positive).
+    a fixed start vector.  Tiny blocks, and any block where the Lanczos
+    iteration fails to converge, fall back to the dense path.  The
+    returned vector is sign-canonical (largest-magnitude entry
+    positive).  On a disconnected graph the top eigenvalue repeats
+    once per component and ``eigsh`` may return a different vector of
+    that eigenspace from call to call, so partitions of such graphs
+    are not reproducible.
     """
     norm = symmetric_normalize(graph.adjacency)
     n = norm.shape[0]
@@ -74,56 +72,6 @@ def fiedler_vector(graph: AttributedGraph) -> np.ndarray:
     if vec[peak] < 0:
         vec = -vec
     return vec
-
-
-def spectral_bisect(
-    graph: AttributedGraph, min_block_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect by the Fiedler vector of the normalised adjacency.
-
-    Cuts at the median Fiedler value.  When that leaves a side with
-    fewer than ``min_block_size`` nodes (or none: ties at the median,
-    a handful of outliers on one side) it halves the Fiedler order
-    instead, so a graph of at least ``2 * min_block_size`` nodes always
-    splits into two sides of at least ``min_block_size``.
-    """
-    # second-largest eigenvector of Â == Fiedler direction of Laplacian
-    fiedler = fiedler_vector(graph)
-    median = np.median(fiedler)
-    left = np.flatnonzero(fiedler <= median)
-    right = np.flatnonzero(fiedler > median)
-    if min(left.size, right.size) < max(min_block_size, 1):
-        half = graph.n_nodes // 2
-        order = np.argsort(fiedler, kind="stable")
-        left, right = order[:half], order[half:]
-    return left, right
-
-
-def bisect_partition(
-    graph: AttributedGraph,
-    max_block_size: int,
-    min_block_size: int = 8,
-) -> list[np.ndarray]:
-    """Recursive spectral bisection until every part is small enough.
-
-    Every part of a graph larger than ``max_block_size`` ends up with
-    between ``min_block_size`` and ``max_block_size`` nodes (see
-    :func:`spectral_bisect`), which is why ``max_block_size`` must be
-    at least ``2 * min_block_size``.
-    """
-    if max_block_size < 2 * min_block_size:
-        raise GraphError("max_block_size must be at least 2x min_block_size")
-    parts: list[np.ndarray] = []
-    stack = [np.arange(graph.n_nodes)]
-    while stack:
-        idx = stack.pop()
-        if idx.size <= max_block_size:
-            parts.append(idx)
-            continue
-        left, right = spectral_bisect(graph.subgraph(idx), min_block_size)
-        stack.append(idx[left])
-        stack.append(idx[right])
-    return parts
 
 
 def kway_partition(graph: AttributedGraph, n_parts: int) -> list[np.ndarray]:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-RandomStateLike = "int | np.random.Generator | None"
-
 
 def check_random_state(seed) -> np.random.Generator:
     """Coerce ``seed`` into a :class:`numpy.random.Generator`.

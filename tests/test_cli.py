@@ -142,6 +142,21 @@ class TestEngineCommand:
         out = capsys.readouterr().out
         assert "parts    2" in out
 
+    def test_engine_sparse_backend_derives_part_count(self, capsys):
+        """Without --n-parts the 135-node source is cut into the
+        smallest power-of-two number of parts that fit under
+        --max-block-size."""
+        code = main(
+            [
+                "engine", "cora",
+                "--scale", "0.05", "--iters", "15",
+                "--backend", "sparse", "--max-block-size", "100",
+                "--executor", "serial",
+            ]
+        )
+        assert code == 0
+        assert "parts    2" in capsys.readouterr().out
+
     def test_unknown_backend_names_choices(self):
         with pytest.raises(SystemExit, match="valid backends.*fused-dense"):
             main(["engine", "cora", "--backend", "tpu"])
@@ -168,11 +183,14 @@ class TestEngineCommand:
     def test_sparse_backend_rejected_for_dense_methods(self):
         with pytest.raises(SystemExit, match="dense"):
             main(["align", "cora", "--backend", "sparse"])
-        with pytest.raises(SystemExit, match="dense"):
-            main(
-                ["align", "cora", "--method", "partitioned",
-                 "--backend", "sparse"]
-            )
+
+    def test_partitioned_method_is_engine_only(self):
+        """The partitioned pipeline runs through ``engine --backend
+        sparse``; ``align`` names its valid methods instead."""
+        with pytest.raises(SystemExit, match="valid methods.*slotalign"):
+            main(["align", "cora", "--method", "partitioned"])
+        with pytest.raises(SystemExit):
+            main(["align", "cora", "--n-parts", "2"])
 
     def test_backend_rejected_for_non_engine_methods(self):
         with pytest.raises(SystemExit, match="only applies"):

@@ -14,7 +14,12 @@ from repro.engine import (
     evaluate_alignment,
     get_decoder,
 )
-from repro.eval import evaluate_plan, hits_at_k
+from repro.eval import (
+    alignment_accuracy,
+    evaluate_plan,
+    hits_at_k,
+    sparse_topk,
+)
 from repro.exceptions import (
     ConvergenceError,
     GraphError,
@@ -148,6 +153,7 @@ _PLAN_CONSUMERS = {
     "evaluate_plan": lambda plan: evaluate_plan(plan, _DIAGONAL),
     "hits_at_k": lambda plan: hits_at_k(plan, _DIAGONAL, 1),
     "evaluate_alignment": lambda plan: evaluate_alignment(plan, _DIAGONAL),
+    "sparse_topk": lambda plan: sparse_topk(plan, 2),
     **{
         f"decode-{name}": (lambda plan, name=name: get_decoder(name).decode(plan))
         for name in available_decoders()
@@ -194,6 +200,20 @@ class TestNonFinitePlans:
     def test_malformed_plan_raises_shape_error(self, consumer, plan):
         with pytest.raises(ShapeError):
             _PLAN_CONSUMERS[consumer](plan)
+
+
+class TestAlignmentAccuracyIndices:
+    @pytest.mark.parametrize(
+        "matching, ground_truth",
+        [([0, 1, 2], [[-1, 2]]), ([-1, 1, 2], [[0, -1]])],
+        ids=["negative-source", "negative-target"],
+    )
+    def test_negative_ground_truth_raises(self, matching, ground_truth):
+        """A negative source index would wrap to the last row, and a
+        negative target would count an unmatched row (``-1``) as
+        correct: unchecked, both read as 100.0."""
+        with pytest.raises(ShapeError, match="non-negative"):
+            alignment_accuracy(np.array(matching), np.array(ground_truth))
 
 
 class TestUnbalancedLogKernelInputs:

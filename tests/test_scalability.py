@@ -78,6 +78,9 @@ class TestDivideAndConquer:
     def test_block_size_validation(self):
         with pytest.raises(GraphError):
             DivideAndConquerAligner(FAST_CFG, max_block_size=10, min_block_size=8)
+        # the derived part count divides by max_block_size
+        with pytest.raises(GraphError, match="min_block_size must be >= 1"):
+            DivideAndConquerAligner(FAST_CFG, max_block_size=0, min_block_size=0)
 
     def test_runtime_recorded(self):
         pair = big_pair(seed=6)

@@ -1,10 +1,10 @@
 """Bitwise serial-vs-parallel regression tests for the block executor.
 
-The executor is pure scheduling: the process-pool and thread-pool
-backends must reproduce the serial loop's block results **exactly** —
-the same contract ``tests/test_fused_objective.py`` pins for the fused
-hot path.  Pickling float64 arrays is lossless and every worker runs
-the identical single-threaded code path, so any bit of drift means a
+The executor is pure scheduling: the process pool must reproduce the
+serial loop's block results **exactly** — the same contract
+``tests/test_fused_objective.py`` pins for the fused hot path.
+Pickling float64 arrays is lossless and every worker runs the
+identical single-threaded code path, so any bit of drift means a
 scheduling backend leaked into the numerics.
 """
 
@@ -13,12 +13,12 @@ import pytest
 
 from repro.core import SLOTAlignConfig
 from repro.datasets import make_semi_synthetic_pair
+from repro.engine.pipeline import align_pair
 from repro.exceptions import GraphError
 from repro.graphs import stochastic_block_model
 from repro.graphs.features import community_bag_of_words
 from repro.scale import (
     DivideAndConquerAligner,
-    align_block,
     resolve_executor,
     run_blocks,
 )
@@ -52,7 +52,7 @@ def blocks_of(p, n_parts=3):
 
 
 class TestBitwiseExecutorEquality:
-    @pytest.mark.parametrize("backend", ["process", "thread"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_block_results_bitwise_equal_serial(self, backend):
         p = pair(seed=1)
         blocks = blocks_of(p)
@@ -95,7 +95,7 @@ class TestBitwiseExecutorEquality:
         p = pair(seed=3)
         blocks = blocks_of(p)
         results, _ = run_blocks(
-            FAST_CFG, blocks, executor="thread", max_workers=3
+            FAST_CFG, blocks, executor="process", max_workers=3
         )
         for (sub_s, sub_t), res in zip(blocks, results):
             assert res.plan.shape == (sub_s.n_nodes, sub_t.n_nodes)
@@ -104,7 +104,6 @@ class TestBitwiseExecutorEquality:
 class TestExecutorResolution:
     def test_known_backends(self):
         assert resolve_executor("serial") == "serial"
-        assert resolve_executor("thread") == "thread"
         assert resolve_executor("process") == "process"
         assert resolve_executor("auto") in ("serial", "process")
 
@@ -114,11 +113,16 @@ class TestExecutorResolution:
         with pytest.raises(GraphError):
             run_blocks(FAST_CFG, [], executor="gpu")
 
-    def test_align_block_is_module_level(self):
+    def test_thread_executor_rejected(self):
+        """Block solves run serially or on a process pool only."""
+        with pytest.raises(GraphError, match="executor must be one of"):
+            resolve_executor("thread")
+
+    def test_align_pair_is_module_level(self):
         """The pool target must be picklable by qualified name."""
         import pickle
 
-        assert pickle.loads(pickle.dumps(align_block)) is align_block
+        assert pickle.loads(pickle.dumps(align_pair)) is align_pair
 
     def test_sandboxed_fork_falls_back_to_serial(self, monkeypatch):
         """Worker spawning is lazy (happens on submit); a sandbox that
@@ -141,17 +145,15 @@ class TestExecutorResolution:
         for ref, out in zip(reference, results):
             np.testing.assert_array_equal(ref.plan, out.plan)
 
-    def test_worker_errors_propagate(self, monkeypatch):
-        """Exceptions raised by a block solve must escape, not trigger
-        a silent serial re-run."""
-        import repro.scale.executor as executor_module
-
+    def test_worker_errors_propagate(self):
+        """An exception raised by a block solve inside a worker must
+        escape, not trigger a silent serial re-run: the error carries
+        the worker's traceback as its cause."""
         p = pair(seed=1)
         blocks = blocks_of(p)
-
-        def failing_block(config, source, target, backend="fused-dense"):
-            raise OSError("block solve exploded")
-
-        monkeypatch.setattr(executor_module, "align_block", failing_block)
-        with pytest.raises(OSError, match="block solve exploded"):
-            run_blocks(FAST_CFG, blocks, executor="thread", max_workers=2)
+        # a featureless block cannot build the node view
+        sub_s, sub_t = blocks[-1]
+        blocks[-1] = (sub_s.with_features(None), sub_t)
+        with pytest.raises(GraphError, match="require node features") as info:
+            run_blocks(FAST_CFG, blocks, executor="process", max_workers=2)
+        assert type(info.value.__cause__).__name__ == "_RemoteTraceback"

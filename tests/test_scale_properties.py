@@ -9,7 +9,8 @@ than single examples:
   plan is equivariant to machine precision; the discrete metrics are
   exactly equal.
 * **partitioner invariants** — k-way partitions are exact, balanced
-  and covering; recursive bisection respects the size cap.
+  and covering; the part count derived from ``max_block_size`` keeps
+  every part between ``min_block_size`` and ``max_block_size``.
 * **rebalance edge cases** — empty parts, capacity spill and the
   everyone-prefers-one-part overflow path never drop or duplicate a
   node.
@@ -26,6 +27,7 @@ from repro.graphs import (
     adjacent_parts,
     boundary_nodes,
     cut_edges,
+    erdos_renyi_graph,
     partition_assignment,
     permute_graph,
     stochastic_block_model,
@@ -33,7 +35,6 @@ from repro.graphs import (
 from repro.graphs.features import community_bag_of_words
 from repro.scale import (
     DivideAndConquerAligner,
-    bisect_partition,
     kway_partition,
     rebalance,
 )
@@ -128,16 +129,25 @@ class TestPartitioners:
         with pytest.raises(GraphError):
             kway_partition(graph, graph.n_nodes + 1)
 
-    def test_bisect_respects_size_cap(self):
+    @staticmethod
+    def derived_parts(graph, max_block_size):
+        """The source partition ``n_parts=None`` derives."""
+        aligner = DivideAndConquerAligner(
+            CRISP_CFG, max_block_size=max_block_size, min_block_size=8
+        )
+        return aligner._partition_source(graph)
+
+    def test_derived_parts_respect_size_cap(self):
         graph = stochastic_block_model([20] * 4, 0.35, 0.01, seed=2)
-        parts = bisect_partition(graph, max_block_size=30, min_block_size=8)
+        parts = self.derived_parts(graph, max_block_size=30)
         assert all(8 <= p.size <= 30 for p in parts)
         covered = np.concatenate(parts)
         assert sorted(covered.tolist()) == list(range(graph.n_nodes))
 
-    def test_bisect_parts_stay_within_block_bounds(self, monkeypatch):
-        """A median cut that strands a few nodes on one side halves the
-        Fiedler order instead of keeping the oversized block."""
+    def test_derived_parts_stay_within_block_bounds(self, monkeypatch):
+        """A Fiedler vector that puts a few nodes far from the rest
+        still yields balanced parts: the cut follows the sorted order,
+        not a median threshold."""
 
         def lopsided(graph):
             # three nodes above the median, every other node tied below
@@ -147,10 +157,24 @@ class TestPartitioners:
 
         monkeypatch.setattr("repro.scale.partition.fiedler_vector", lopsided)
         graph = stochastic_block_model([41] * 3, 0.3, 0.02, seed=0)
-        parts = bisect_partition(graph, max_block_size=40, min_block_size=8)
+        parts = self.derived_parts(graph, max_block_size=40)
         assert all(8 <= p.size <= 40 for p in parts)
         covered = np.concatenate(parts)
         assert sorted(covered.tolist()) == list(range(graph.n_nodes))
+
+    @pytest.mark.parametrize(
+        "n_nodes, expected",
+        [(20, 1), (40, 1), (41, 2), (160, 4), (161, 8)],
+    )
+    def test_derived_part_count(self, n_nodes, expected):
+        """``n_parts=None`` cuts into the smallest power of two whose
+        balanced parts fit under ``max_block_size`` (40 here)."""
+        graph = erdos_renyi_graph(n_nodes, 0.1, seed=n_nodes)
+        parts = self.derived_parts(graph, max_block_size=40)
+        assert len(parts) == expected
+        assert all(8 <= p.size <= 40 for p in parts)
+        covered = np.concatenate(parts)
+        assert sorted(covered.tolist()) == list(range(n_nodes))
 
 
 class TestPartitionHelpers:

@@ -1,8 +1,9 @@
 """Guard against public library code that only tests reach.
 
-Every top-level public ``def``/``class`` in ``src/repro`` (package
-``__init__.py`` re-exports aside) must be referenced, by a word-boundary
-match outside its own body, somewhere in the code that runs the system:
+Every top-level public ``def``/``class`` and every public module-level
+assignment in ``src/repro`` (package ``__init__.py`` re-exports aside)
+must be referenced, by a word-boundary match outside its own body,
+somewhere in the code that runs the system:
 ``src/repro`` itself, ``benchmarks/``, ``examples/`` or ``perfbench/``.
 A name that nothing there mentions is dead weight the tests keep alive;
 delete it with its tests, or list it below with the reason a test needs
@@ -63,25 +64,36 @@ ALLOWED = {
 WORD = re.compile(r"\w+")
 
 
+def defined_names(node):
+    """Names a top-level statement defines: a def/class name, or the
+    plain-name targets of a module-level assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def public_definitions():
     """``(module::name key, name, mentions of the name in its own body)``
-    per top-level public def/class, decorators included in the body."""
+    per top-level public def/class or module-level assignment,
+    decorators included in the body."""
     for path in sorted(PACKAGE.rglob("*.py")):
         if path.name == "__init__.py":
             continue
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines(keepends=True)
         for node in ast.parse(text).body:
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            if node.name.startswith("_"):
-                continue
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            decorators = getattr(node, "decorator_list", [])
+            first = min([node.lineno] + [d.lineno for d in decorators])
             body = "".join(lines[first - 1 : node.end_lineno])
-            key = f"{path.relative_to(PACKAGE).as_posix()}::{node.name}"
-            yield key, node.name, WORD.findall(body).count(node.name)
+            for name in defined_names(node):
+                if name.startswith("_"):
+                    continue
+                key = f"{path.relative_to(PACKAGE).as_posix()}::{name}"
+                yield key, name, WORD.findall(body).count(name)
 
 
 def unreferenced_names():
