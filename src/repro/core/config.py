@@ -7,10 +7,21 @@ from dataclasses import dataclass, field, fields
 
 from repro.exceptions import ConfigError
 
+ETA_START = 0.5
+"""The KL-proximal coefficient η annealing starts from (see ``anneal``)."""
+
+ANNEAL_FRACTION = 0.6
+"""Share of ``max_outer_iter`` over which annealing decays η."""
+
 
 @dataclass
 class SLOTAlignConfig:
     """Hyperparameters of Algorithm 1.
+
+    Fixed solver numbers are constants of the module that reads them:
+    the stopping tolerances ``ε₁``/``ε₂`` and pruning checkpoints in
+    :mod:`repro.engine.restarts`, the Sinkhorn tolerance in
+    :mod:`repro.ot.sinkhorn`, the annealing schedule here.
 
     Attributes
     ----------
@@ -22,16 +33,12 @@ class SLOTAlignConfig:
     structure_lr:
         ``τ`` — step size of the projected-gradient α-update (Eq. 11).
     sinkhorn_lr:
-        ``η`` — step size of the KL-proximal π-update (Eq. 12).
+        ``η`` — step size of the KL-proximal π-update (Eq. 12); at most
+        :data:`ETA_START`, the value annealing starts from.
     max_outer_iter:
         ``kmax`` — cap on alternating iterations.
     sinkhorn_iter:
         Inner Sinkhorn iterations per π-update.
-    alpha_tol / plan_tol:
-        ``ε₁``/``ε₂`` stopping tolerances on successive iterates.
-    sinkhorn_tol:
-        Marginal-violation tolerance of the inner Sinkhorn projection
-        (previously hardcoded to ``1e-9`` in the solver).
     normalize_bases:
         Max-abs normalise every structure basis so the views live on
         comparable scales (matches the released implementation).
@@ -39,8 +46,6 @@ class SLOTAlignConfig:
         Initialise π from cross-graph feature similarity rather than
         the uniform coupling — the paper enables this on DBP15K
         (Sec. V-C) to ease large-scale optimisation.
-    alpha_steps:
-        Gradient steps on α per outer iteration (1 in Algorithm 1).
     track_history:
         Record the objective after every outer iteration (needed by the
         convergence tests, costs one tensor contraction per iteration).
@@ -62,38 +67,11 @@ class SLOTAlignConfig:
         usual winner.
     anneal:
         Warm-start the KL-proximal coefficient: η is decayed
-        geometrically from ``eta_start`` to ``sinkhorn_lr`` over the
-        first ``anneal_fraction`` of iterations.  Large early η keeps
+        geometrically from :data:`ETA_START` to ``sinkhorn_lr`` over the
+        first :data:`ANNEAL_FRACTION` of iterations.  Large early η keeps
         the plan smooth while the structure weights settle; the final
         phase runs at the constant paper value, to which Theorem 5's
         analysis applies.
-    eta_start / anneal_fraction:
-        Annealing schedule parameters (see ``anneal``).
-    fused_contractions:
-        Use the fused symmetric contraction engine: ``∂F/∂π`` drops to
-        two matmuls instead of four and the objective's cross term
-        shares the same ``(D_s π) D_t`` product — both equal to the
-        general formulas up to accumulated ulps.  Disable to force the
-        bitwise-exact serial formulas.
-    portfolio_prune_iter:
-        Offset of the successive-halving checkpoint(s) of the
-        multi-start portfolio.  With annealing enabled the (single)
-        checkpoint fires this many iterations *after* the annealing
-        horizon — mid-annealing objective values cannot rank restarts
-        (see ``repro.engine.restarts.prune_schedule``); without annealing an
-        early generous-margin checkpoint fires here and a tighter one
-        at three times it.  ``0`` disables pruning (every restart runs
-        its full budget, the pre-portfolio behaviour).  Survivors
-        continue their exact iterate path, so whenever the eventual
-        winner survives pruning the selected plan is bit-for-bit the
-        one the unpruned portfolio returns.
-    portfolio_prune_margin:
-        Objective margin of the early non-annealed checkpoint: a
-        restart is pruned only when its objective exceeds the current
-        leader's by more than this.
-    portfolio_refine_margin:
-        Tighter margin applied once the ranking has stabilised (the
-        post-anneal checkpoint, and the later non-annealed one).
     tie_weights:
         Share one weight vector across both graphs (``β_s = β_t``,
         updated with the averaged gradient).  Independently learned
@@ -138,12 +116,6 @@ class SLOTAlignConfig:
         Marginal-relaxation strength of the ``partial-unbalanced``
         backend's KL-relaxed π-update; ``ρ → ∞`` recovers balanced
         transport, small ρ makes shedding mass cheap.
-    partial_anchor_weight:
-        Log-domain reward added to each anchor cell of the π-update
-        kernel every outer iteration (and subtracted from the anchor
-        rows' dummy cells), expressing semi-supervised seed
-        correspondences as a sustained prior.  ``exp(weight)`` is the
-        multiplicative pull towards an anchor cell per update.
     """
 
     n_bases: int = 4
@@ -151,12 +123,8 @@ class SLOTAlignConfig:
     sinkhorn_lr: float = 0.01
     max_outer_iter: int = 100
     sinkhorn_iter: int = 100
-    alpha_tol: float = 1e-6
-    plan_tol: float = 1e-7
-    sinkhorn_tol: float = 1e-9
     normalize_bases: bool = True
     use_feature_similarity_init: bool = False
-    alpha_steps: int = 1
     track_history: bool = True
     include_views: tuple[str, ...] = field(
         default=("edge", "node", "subgraph")
@@ -165,19 +133,12 @@ class SLOTAlignConfig:
     multi_start: bool = True
     single_start_view: str = "uniform"
     anneal: bool = True
-    eta_start: float = 0.5
-    anneal_fraction: float = 0.6
-    fused_contractions: bool = True
-    portfolio_prune_iter: int = 20
-    portfolio_prune_margin: float = 0.25
-    portfolio_refine_margin: float = 0.05
     tie_weights: bool = False
     center_kernels: bool = False
     renormalize_hops: bool = False
     hop_mix: float = 1.0
     partial_mass: float = 1.0
     partial_rho: float = 1.0
-    partial_anchor_weight: float = 10.0
 
     def __post_init__(self) -> None:
         # NaN fails every comparison below, so it is refused up front
@@ -191,41 +152,24 @@ class SLOTAlignConfig:
             raise ConfigError(f"structure_lr must be positive, got {self.structure_lr}")
         if self.sinkhorn_lr <= 0:
             raise ConfigError(f"sinkhorn_lr must be positive, got {self.sinkhorn_lr}")
+        if self.sinkhorn_lr > ETA_START:
+            raise ConfigError(
+                f"sinkhorn_lr must be <= {ETA_START} (annealing decays from "
+                f"{ETA_START} towards it), got {self.sinkhorn_lr}"
+            )
         if self.max_outer_iter < 1:
             raise ConfigError(
                 f"max_outer_iter must be >= 1, got {self.max_outer_iter}"
             )
         if self.sinkhorn_iter < 1:
             raise ConfigError(f"sinkhorn_iter must be >= 1, got {self.sinkhorn_iter}")
-        if self.alpha_tol < 0 or self.plan_tol < 0:
-            raise ConfigError("tolerances must be non-negative")
-        if self.alpha_steps < 1:
-            raise ConfigError(f"alpha_steps must be >= 1, got {self.alpha_steps}")
         unknown = set(self.include_views) - {"edge", "node", "subgraph"}
         if unknown:
             raise ConfigError(f"unknown views: {sorted(unknown)}")
         if not self.include_views:
             raise ConfigError("at least one view must be included")
-        if self.eta_start < self.sinkhorn_lr:
-            raise ConfigError(
-                "eta_start must be >= sinkhorn_lr (annealing decays towards it)"
-            )
-        if not 0.0 < self.anneal_fraction <= 1.0:
-            raise ConfigError(
-                f"anneal_fraction must be in (0, 1], got {self.anneal_fraction}"
-            )
-        if self.sinkhorn_tol < 0:
-            raise ConfigError(
-                f"sinkhorn_tol must be non-negative, got {self.sinkhorn_tol}"
-            )
         if not 0.0 < self.hop_mix <= 1.0:
             raise ConfigError(f"hop_mix must be in (0, 1], got {self.hop_mix}")
-        if self.portfolio_prune_iter < 0:
-            raise ConfigError(
-                f"portfolio_prune_iter must be >= 0, got {self.portfolio_prune_iter}"
-            )
-        if self.portfolio_prune_margin < 0 or self.portfolio_refine_margin < 0:
-            raise ConfigError("portfolio prune margins must be non-negative")
         if not 0.0 < self.partial_mass <= 1.0:
             raise ConfigError(
                 f"partial_mass must be in (0, 1], got {self.partial_mass}"
@@ -233,11 +177,6 @@ class SLOTAlignConfig:
         if self.partial_rho <= 0:
             raise ConfigError(
                 f"partial_rho must be positive, got {self.partial_rho}"
-            )
-        if self.partial_anchor_weight < 0:
-            raise ConfigError(
-                "partial_anchor_weight must be non-negative, "
-                f"got {self.partial_anchor_weight}"
             )
         if self.single_start_view not in {"uniform", "edge", "node"}:
             raise ConfigError(

@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from repro.engine.restarts import RestartRun
-from repro.ot.sinkhorn import sinkhorn_log_kernel_fast_batched
+from repro.ot.sinkhorn import SINKHORN_TOL, sinkhorn_log_kernel_fast_batched
 
 
 class _LockstepPortfolio:
@@ -62,7 +62,7 @@ class _LockstepPortfolio:
             self.mu,
             self.nu,
             max_iter=cfg.sinkhorn_iter,
-            tol=cfg.sinkhorn_tol,
+            tol=SINKHORN_TOL,
         )
         share = (time.perf_counter() - t0) / len(active)
         for run, (new_alpha, _, _), projection in zip(

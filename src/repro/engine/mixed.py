@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.core.config import SLOTAlignConfig
 from repro.engine.precision import FLOAT32, SolverPrecision, ensure_precision
-from repro.engine.restarts import eta_schedule
+from repro.engine.restarts import ALPHA_TOL, PLAN_TOL, eta_schedule
 from repro.exceptions import ConvergenceError
 from repro.ot.simplex import project_concatenated_simplices
 from repro.ot.sinkhorn import _flush_constants, sinkhorn_log_kernel_fast_workspace
@@ -81,9 +81,6 @@ class _MixedLockstep:
         self.capacity = max(1, int(capacity))
         self.workspace = Workspace(self.capacity, self.n, self.m, self.dtype)
         self.workspace.set_marginals(self.mu, self.nu)
-        self.sinkhorn_tol = self.precision.effective_sinkhorn_tol(
-            config.sinkhorn_tol
-        )
         _, self.log_tiny = _flush_constants(self.dtype)
 
     # ------------------------------------------------------------------
@@ -111,7 +108,7 @@ class _MixedLockstep:
         # transported products batch into stacked GEMMs; per-slice GEMMs
         # into the same buffers are the bitwise-equal fallback
         learn_prefix = learn == list(range(n_learn))
-        for _ in range(cfg.alpha_steps if learn else 0):
+        if learn:
             for i in learn:
                 run = active[i]
                 alpha = new_alphas[i]
@@ -206,7 +203,7 @@ class _MixedLockstep:
         np.log(log_kernel, out=log_kernel)
         np.subtract(log_kernel, ws.grad[:r], out=log_kernel)
         sinkhorn_log_kernel_fast_workspace(
-            ws, r, max_iter=cfg.sinkhorn_iter, tol=self.sinkhorn_tol
+            ws, r, max_iter=cfg.sinkhorn_iter, tol=self.precision.sinkhorn_tol
         )
         new_plans = ws.new_plans[:r]
         if not np.all(np.isfinite(new_plans)):
@@ -227,7 +224,7 @@ class _MixedLockstep:
             run.alpha = new_alphas[i]
             np.copyto(run.plan, new_plans[i])
             run.iteration += 1
-            if alpha_delta < cfg.alpha_tol and plan_delta < cfg.plan_tol:
+            if alpha_delta < ALPHA_TOL and plan_delta < PLAN_TOL:
                 run.history.converged = True
         t3 = time.perf_counter()
         alpha_share = (t1 - t0) / r

@@ -32,9 +32,9 @@ silently replaced):
 
 Anchor seeds (semi-supervised known correspondences carried on
 :attr:`PreparedProblem.anchors`) enter both backends the same way: a
-``+partial_anchor_weight`` log-domain offset on the anchor cells of
-every π-update kernel (and, for the dummy reduction, ``−weight`` on the
-anchor rows'/columns' dummy cells so seeded nodes are not declared
+``+_ANCHOR_WEIGHT`` log-domain offset on the anchor cells of every
+π-update kernel (and, for the dummy reduction, ``−_ANCHOR_WEIGHT`` on
+the anchor rows'/columns' dummy cells so seeded nodes are not declared
 unmatchable).  The offset is a prior, re-applied each iteration, not a
 hard constraint.
 """
@@ -54,7 +54,7 @@ from repro.engine.restarts import (
     run_portfolio,
 )
 from repro.exceptions import ConvergenceError
-from repro.ot.sinkhorn import sinkhorn_log_kernel_fast
+from repro.ot.sinkhorn import SINKHORN_TOL, sinkhorn_log_kernel_fast
 from repro.ot.unbalanced import sinkhorn_unbalanced_log_kernel
 from repro.utils.timer import Timer
 
@@ -69,6 +69,10 @@ the proximal kernel ``log π_k − ∇F/η`` swings by hundreds of nats as η
 anneals, so the cell is re-pinned below the kernel's own minimum every
 iteration instead.
 """
+
+_ANCHOR_WEIGHT = 10.0
+"""Log-domain reward on each anchor cell of the π-update kernel: a
+pull of ``exp(10)`` towards the seeded correspondence per update."""
 
 
 def _problem_anchors(problem: PreparedProblem) -> np.ndarray | None:
@@ -100,7 +104,7 @@ def offset_projection(offset: np.ndarray, block: tuple[int, int] | None):
             run.mu,
             run.nu,
             max_iter=run.config.sinkhorn_iter,
-            tol=run.config.sinkhorn_tol,
+            tol=SINKHORN_TOL,
         )
         return result.plan
 
@@ -136,7 +140,7 @@ def unbalanced_projection(offset: np.ndarray | None):
             epsilon=eta,
             rho=run.config.partial_rho,
             max_iter=run.config.sinkhorn_iter,
-            tol=run.config.sinkhorn_tol,
+            tol=SINKHORN_TOL,
         )
         return result.plan
 
@@ -226,14 +230,11 @@ class PartialDummyBackend:
                 offset = np.zeros((n, m))
                 block = None
             if anchors is not None:
-                weight = cfg.partial_anchor_weight
-                offset[anchors[:, 0], anchors[:, 1]] += weight
+                offset[anchors[:, 0], anchors[:, 1]] += _ANCHOR_WEIGHT
                 if slack > 0.0:
-                    offset[anchors[:, 0], m] -= weight
-                    offset[n, anchors[:, 1]] -= weight
-            objective = JointObjective(
-                run_source, run_target, fused=cfg.fused_contractions
-            )
+                    offset[anchors[:, 0], m] -= _ANCHOR_WEIGHT
+                    offset[n, anchors[:, 1]] -= _ANCHOR_WEIGHT
+            objective = JointObjective(run_source, run_target)
             runs = restart_runs(
                 objective, cfg, plan0_run, mu_run, nu_run, informative_init,
                 project=offset_projection(offset, block),
@@ -297,9 +298,7 @@ class PartialUnbalancedBackend:
         anchors = _problem_anchors(problem)
         with Timer() as timer:
             source_bases, target_bases = problem.bases
-            objective = JointObjective(
-                source_bases, target_bases, fused=cfg.fused_contractions
-            )
+            objective = JointObjective(source_bases, target_bases)
             mu, nu = problem.marginals()
             plan0, informative_init = problem.initial_coupling(mu, nu)
             mass = cfg.partial_mass
@@ -309,7 +308,7 @@ class PartialUnbalancedBackend:
             offset = None
             if anchors is not None:
                 offset = np.zeros((mu.shape[0], nu.shape[0]))
-                offset[anchors[:, 0], anchors[:, 1]] += cfg.partial_anchor_weight
+                offset[anchors[:, 0], anchors[:, 1]] += _ANCHOR_WEIGHT
             runs = restart_runs(
                 objective, cfg, plan0_run, mu_run, nu_run, informative_init,
                 project=unbalanced_projection(offset),

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.config import SLOTAlignConfig
 from repro.core.views import build_structure_bases
-from repro.exceptions import GraphError
+from repro.exceptions import ConfigError, GraphError
 from repro.graphs.graph import AttributedGraph
 from repro.graphs.normalization import row_normalize
 from repro.ot.sinkhorn import sinkhorn_log
@@ -156,7 +156,7 @@ class PlanCache:
 
     def __init__(self, max_bytes: int = 128 * 1024 * 1024):
         if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
+            raise ConfigError(f"max_bytes must be >= 0, got {max_bytes}")
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, list[np.ndarray]] = OrderedDict()  #: guarded-by: _lock

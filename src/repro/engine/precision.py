@@ -15,13 +15,13 @@ honest:
    iterate (:meth:`repro.engine.restarts.RestartRun.current_objective`),
    so reduced precision never changes *which* restart survives for
    reasons of accumulated rounding in the score itself.
-3. **Tolerance floors.**  The float64 defaults (``sinkhorn_tol=1e-9``,
-   marginal violations measured in L1) sit far below float32
-   resolution — a float32 Sinkhorn loop can never satisfy them and
-   would silently burn its full inner budget every projection.  The
-   float32 mode therefore floors the inner tolerance at
-   :data:`F32_SINKHORN_TOL`; an explicit ``sinkhorn_tol=0`` (no
-   convergence checks) is preserved as-is.
+3. **A tolerance per precision.**  The float64 projection tolerance
+   (:data:`~repro.ot.sinkhorn.SINKHORN_TOL` = 1e-9, marginal
+   violations measured in L1) sits far below float32 resolution — a
+   float32 Sinkhorn loop can never satisfy it and would silently burn
+   its full inner budget every projection.  Each precision therefore
+   carries its own inner tolerance, and float32 projects to
+   :data:`F32_SINKHORN_TOL`.
 
 When is float32 safe?  The alternating scheme is a fixed-point
 iteration, not an accumulation: each outer step re-projects onto the
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import ConfigError
-from repro.ot.sinkhorn import F32_SINKHORN_TOL
+from repro.ot.sinkhorn import F32_SINKHORN_TOL, SINKHORN_TOL
 
 #: Documented Hit@1 / (100·MRR) parity budget, in percentage points,
 #: between a float32 solve and its float64 reference on the seeded
@@ -58,16 +58,11 @@ class SolverPrecision:
 
     name: str
     dtype: np.dtype = field(repr=False)
-    #: floor applied to ``config.sinkhorn_tol`` (0 disables checks).
-    sinkhorn_tol_floor: float
-
-    def effective_sinkhorn_tol(self, configured: float) -> float:
-        if configured <= 0.0:
-            return configured
-        return max(configured, self.sinkhorn_tol_floor)
+    #: marginal-L1 tolerance of the π-update's Sinkhorn projection
+    sinkhorn_tol: float
 
 
-FLOAT64 = SolverPrecision("float64", np.dtype(np.float64), 0.0)
+FLOAT64 = SolverPrecision("float64", np.dtype(np.float64), SINKHORN_TOL)
 FLOAT32 = SolverPrecision("float32", np.dtype(np.float32), F32_SINKHORN_TOL)
 
 PRECISIONS: dict[str, SolverPrecision] = {

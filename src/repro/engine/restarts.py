@@ -29,14 +29,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import SLOTAlignConfig
+from repro.core.config import ANNEAL_FRACTION, ETA_START, SLOTAlignConfig
 from repro.core.convergence import IterateHistory
 from repro.core.objective import JointObjective
 from repro.core.result import AlignmentResult
 from repro.engine.planning import PreparedProblem
 from repro.exceptions import ConvergenceError, GraphError
 from repro.ot.simplex import project_concatenated_simplices
-from repro.ot.sinkhorn import sinkhorn_log_kernel_fast
+from repro.ot.sinkhorn import SINKHORN_TOL, sinkhorn_log_kernel_fast
+
+ALPHA_TOL = 1e-6
+"""``ε₁``: bound on the weight step's norm in the convergence test."""
+
+PLAN_TOL = 1e-7
+"""``ε₂``: bound on the plan step's norm; a run converges when both hold."""
+
+PRUNE_ITER = 20
+"""Offset of the portfolio's pruning checkpoints (see :func:`prune_schedule`)."""
+
+PRUNE_MARGIN = 0.25
+"""Objective margin over the leader of the early non-annealed checkpoint."""
+
+REFINE_MARGIN = 0.05
+"""Tighter margin of the checkpoints that fire once the ranking is stable."""
 
 
 @dataclass
@@ -54,13 +69,13 @@ class RunOutcome:
 
 def eta_schedule(config: SLOTAlignConfig, iteration: int) -> float:
     """Annealed KL-proximal coefficient for one outer iteration."""
-    if not config.anneal or config.eta_start <= config.sinkhorn_lr:
+    if not config.anneal or ETA_START <= config.sinkhorn_lr:
         return config.sinkhorn_lr
-    horizon = max(1, int(config.anneal_fraction * config.max_outer_iter))
+    horizon = max(1, int(ANNEAL_FRACTION * config.max_outer_iter))
     if iteration >= horizon:
         return config.sinkhorn_lr
-    decay = (config.sinkhorn_lr / config.eta_start) ** (1.0 / horizon)
-    return config.eta_start * decay**iteration
+    decay = (config.sinkhorn_lr / ETA_START) ** (1.0 / horizon)
+    return ETA_START * decay**iteration
 
 
 def vertex_views(config: SLOTAlignConfig, k: int) -> list[tuple[str, int]]:
@@ -121,25 +136,23 @@ def prune_schedule(config: SLOTAlignConfig) -> list[tuple[int, float]]:
     exploration phase deliberately keeps iterates smooth, so a
     restart's value can lag arbitrarily while η is large and the
     ordering routinely inverts as η decays.  With annealing enabled
-    the only checkpoint therefore fires ``portfolio_prune_iter``
-    iterations after the annealing horizon, with the tight refine
-    margin.  Without annealing the ranking is meaningful early, so a
-    generous-margin checkpoint fires at ``portfolio_prune_iter`` and a
-    tighter one at three times it.
+    the only checkpoint therefore fires :data:`PRUNE_ITER` iterations
+    after the annealing horizon, with :data:`REFINE_MARGIN`.  Without
+    annealing the ranking is meaningful early, so a checkpoint with the
+    generous :data:`PRUNE_MARGIN` fires at :data:`PRUNE_ITER` and one
+    with :data:`REFINE_MARGIN` at three times it.
     """
-    first = config.portfolio_prune_iter
-    if first <= 0 or first >= config.max_outer_iter:
+    if PRUNE_ITER >= config.max_outer_iter:
         return []
-    if config.anneal and config.eta_start > config.sinkhorn_lr:
-        horizon = max(1, int(config.anneal_fraction * config.max_outer_iter))
-        checkpoint = horizon + first
+    if config.anneal and ETA_START > config.sinkhorn_lr:
+        horizon = max(1, int(ANNEAL_FRACTION * config.max_outer_iter))
+        checkpoint = horizon + PRUNE_ITER
         if checkpoint < config.max_outer_iter:
-            return [(checkpoint, config.portfolio_refine_margin)]
+            return [(checkpoint, REFINE_MARGIN)]
         return []
-    schedule = [(first, config.portfolio_prune_margin)]
-    second = 3 * first
-    if first < second < config.max_outer_iter:
-        schedule.append((second, config.portfolio_refine_margin))
+    schedule = [(PRUNE_ITER, PRUNE_MARGIN)]
+    if 3 * PRUNE_ITER < config.max_outer_iter:
+        schedule.append((3 * PRUNE_ITER, REFINE_MARGIN))
     return schedule
 
 
@@ -157,7 +170,7 @@ def project_balanced(
         run.mu,
         run.nu,
         max_iter=run.config.sinkhorn_iter,
-        tol=run.config.sinkhorn_tol,
+        tol=SINKHORN_TOL,
     )
     return result.plan
 
@@ -281,19 +294,16 @@ class RestartRun:
         t0 = time.perf_counter()
         new_alpha = self.alpha
         if self.learn_weights:
-            for _ in range(cfg.alpha_steps):
-                grad = objective.alpha_gradient(
-                    plan, new_alpha[:k], new_alpha[k:]
-                )
-                if cfg.tie_weights:
-                    # shared weights: both halves take the averaged
-                    # gradient, so beta_s == beta_t is an invariant of
-                    # the iteration (the halves start equal)
-                    mean = 0.5 * (grad[:k] + grad[k:])
-                    grad = np.concatenate([mean, mean])
-                new_alpha = project_concatenated_simplices(
-                    new_alpha - cfg.structure_lr * grad, k
-                )
+            grad = objective.alpha_gradient(plan, new_alpha[:k], new_alpha[k:])
+            if cfg.tie_weights:
+                # shared weights: both halves take the averaged
+                # gradient, so beta_s == beta_t is an invariant of
+                # the iteration (the halves start equal)
+                mean = 0.5 * (grad[:k] + grad[k:])
+                grad = np.concatenate([mean, mean])
+            new_alpha = project_concatenated_simplices(
+                new_alpha - cfg.structure_lr * grad, k
+            )
         t1 = time.perf_counter()
         self.timings["alpha_update"] += t1 - t0
 
@@ -330,7 +340,7 @@ class RestartRun:
         self.history.record(value, alpha_delta, plan_delta)
         self.alpha, self.plan = new_alpha, new_plan
         self.iteration += 1
-        if alpha_delta < cfg.alpha_tol and plan_delta < cfg.plan_tol:
+        if alpha_delta < ALPHA_TOL and plan_delta < PLAN_TOL:
             self.history.converged = True
 
     def _project_plan(self, log_kernel: np.ndarray, eta: float) -> np.ndarray:
@@ -368,9 +378,7 @@ def problem_runs(problem: PreparedProblem, dtype=np.float64) -> list[RestartRun]
     """The balanced restart group of one prepared problem."""
     cfg = problem.config
     source_bases, target_bases = problem.bases
-    objective = JointObjective(
-        source_bases, target_bases, fused=cfg.fused_contractions
-    )
+    objective = JointObjective(source_bases, target_bases)
     mu, nu = problem.marginals()
     plan0, informative_init = problem.initial_coupling(mu, nu)
     return restart_runs(

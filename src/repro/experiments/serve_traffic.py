@@ -24,8 +24,9 @@ import numpy as np
 from repro.core import SLOTAlignConfig
 from repro.datasets import load_graph_dataset, make_semi_synthetic_pair
 from repro.engine import AlignmentEngine, PlanCache
+from repro.exceptions import ConfigError, ReproError
 from repro.scale import available_cpus
-from repro.serve import AlignmentService, wait_all
+from repro.serve import AlignmentService, JobState, wait_all
 
 
 def serve_config(iters: int = 25) -> SLOTAlignConfig:
@@ -76,6 +77,10 @@ def run_serve_traffic(
     the workers start, so the backlog is visible to the first dequeue
     and coalescing engages deterministically.
     """
+    if n_jobs < 1 or n_distinct < 1:
+        raise ConfigError(
+            f"n_jobs and n_distinct must be >= 1, got {n_jobs} and {n_distinct}"
+        )
     config = serve_config(iters)
     pairs = traffic_pairs(dataset, n_distinct, scale, seed)
     cache = PlanCache()
@@ -96,6 +101,8 @@ def run_serve_traffic(
     serve_seconds = time.perf_counter() - t0
     if not finished:
         raise RuntimeError("serve traffic did not finish within 600s")
+    if jobs[0].state != JobState.DONE:
+        raise ReproError(f"job 0 ended {jobs[0].state.value}: {jobs[0].error}")
 
     stats = service.stats()
     info = cache.info()

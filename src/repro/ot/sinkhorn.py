@@ -318,14 +318,17 @@ _SUBNORMAL_FLUSH32 = 3e-38
 _LOG_FLUSH32 = -86.5
 """Float32 analogue of ``_LOG_FLUSH``: ``exp(-86.5) ≈ 2.7e-38``."""
 
+SINKHORN_TOL = 1e-9
+"""Marginal-L1 tolerance of SLOTAlign's float64 π-update projections."""
+
 F32_SINKHORN_TOL = 1e-5
-"""Marginal-L1 tolerance floor for float32 Sinkhorn loops.
+"""Marginal-L1 tolerance of the float32 π-update projection.
 
 One float32 rounding per row of a stochastic matrix leaves marginal
 violations of order ``eps32 ≈ 1e-7`` per row even at the fixed point,
-so float64-grade tolerances (1e-9) can never be met and would silently
-burn the full inner budget; 1e-5 sits comfortably above the rounding
-noise floor while staying tight against plan entries of order 1e-4.
+so :data:`SINKHORN_TOL` can never be met and would silently burn the
+full inner budget; 1e-5 sits comfortably above the rounding noise
+floor while staying tight against plan entries of order 1e-4.
 """
 
 

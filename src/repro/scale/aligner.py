@@ -55,6 +55,11 @@ a partitioned pipeline that densifies its output has silently given up
 its memory advantage.  Pass ``force=True`` to override (tests, tiny
 demos)."""
 
+MIN_BLOCK_SIZE = 8
+"""Smallest part the partitioner may cut: blocks below it make
+degenerate GW problems.  The derived part count never needs the guard,
+because each of its parts holds more than ``max_block_size / 2`` nodes."""
+
 
 @dataclass
 class PartitionedAlignment:
@@ -121,15 +126,12 @@ class DivideAndConquerAligner:
     max_block_size:
         Without ``n_parts``, the source is cut into the smallest
         power-of-two number of balanced parts that are each at most
-        this large (one part when the graph fits).
-    min_block_size:
-        Smallest part the partitioner may cut, to avoid degenerate GW
-        problems: ``n_parts`` must leave blocks at least this large.
-        The derived part count always does, because each of its parts
-        holds more than ``max_block_size / 2`` nodes.
+        this large (one part when the graph fits).  At least
+        ``2 * MIN_BLOCK_SIZE``.
     n_parts:
         Cut the source into exactly this many size-balanced parts
-        instead of deriving the count from ``max_block_size``.
+        instead of deriving the count from ``max_block_size``; the
+        parts must hold at least :data:`MIN_BLOCK_SIZE` nodes.
     executor:
         ``"serial"`` | ``"process"`` | ``"auto"``.  Block results are
         bitwise-identical across backends; see
@@ -151,17 +153,17 @@ class DivideAndConquerAligner:
         self,
         config: SLOTAlignConfig | None = None,
         max_block_size: int = 400,
-        min_block_size: int = 8,
         n_parts: int | None = None,
         executor: str = "serial",
         max_workers: int | None = None,
         boundary_repair: bool = True,
         solver_backend: str = "fused-dense",
     ):
-        if min_block_size < 1:
-            raise GraphError(f"min_block_size must be >= 1, got {min_block_size}")
-        if max_block_size < 2 * min_block_size:
-            raise GraphError("max_block_size must be at least 2x min_block_size")
+        if max_block_size < 2 * MIN_BLOCK_SIZE:
+            raise GraphError(
+                f"max_block_size must be >= {2 * MIN_BLOCK_SIZE} "
+                f"(twice MIN_BLOCK_SIZE), got {max_block_size}"
+            )
         if n_parts is not None and n_parts < 1:
             raise GraphError(f"n_parts must be >= 1, got {n_parts}")
         # lazy import: repro.scale must stay importable before
@@ -171,7 +173,6 @@ class DivideAndConquerAligner:
         ensure_dense_backend(solver_backend, "per-block solving")
         self.config = config or SLOTAlignConfig()
         self.max_block_size = max_block_size
-        self.min_block_size = min_block_size
         self.n_parts = n_parts
         self.executor = executor
         self.max_workers = max_workers
@@ -291,17 +292,16 @@ class DivideAndConquerAligner:
         n_parts = self.n_parts
         if n_parts is None:
             # the smallest power of two k with n / k <= max_block_size;
-            # then n / k > max_block_size / 2 >= min_block_size, and
+            # then n / k > max_block_size / 2 >= MIN_BLOCK_SIZE, and
             # kway_partition's parts lie within one node of n / k
             blocks = -(-graph.n_nodes // self.max_block_size)  # ceil
             n_parts = 1 << (blocks - 1).bit_length()
-        elif graph.n_nodes // n_parts < self.min_block_size:
+        elif graph.n_nodes // n_parts < MIN_BLOCK_SIZE:
             # kway_partition balances sizes to within one node of n/k,
             # so the min-size guard reduces to checking the quotient
             raise GraphError(
                 f"n_parts={n_parts} would cut {graph.n_nodes} "
-                f"nodes into blocks below min_block_size="
-                f"{self.min_block_size}"
+                f"nodes into blocks below MIN_BLOCK_SIZE={MIN_BLOCK_SIZE}"
             )
         return kway_partition(graph, n_parts)
 

@@ -55,6 +55,7 @@ from repro.engine.planning import (
     prepare_problem,
     shared_plan_cache,
 )
+from repro.exceptions import ConfigError
 from repro.graphs.graph import AttributedGraph
 from repro.serve.budget import AdmissionPolicy
 from repro.serve.jobs import Job, JobQueue, JobState, QueueClosed
@@ -122,9 +123,9 @@ class AlignmentService:
         precision: str = DEFAULT_PRECISION,
     ):
         if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+            raise ConfigError(f"workers must be >= 1, got {workers}")
         if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+            raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
         self.config = config or SLOTAlignConfig()
         self.backend = backend
         self.cache: PlanCache | None = (

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from repro.core import SLOTAlignConfig
+from repro.core.objective import JointObjective
 from repro.datasets import make_semi_synthetic_pair
-from repro.engine import solve_coalesced
-from repro.engine.pipeline import AlignmentEngine
+from repro.engine import restarts, solve_coalesced
+from repro.engine.pipeline import AlignmentEngine, prepare_problem
 from repro.graphs import stochastic_block_model
 from repro.graphs.features import community_bag_of_words
 from repro.ot.sinkhorn import (
@@ -106,20 +107,22 @@ class TestPortfolioBitwise:
         )
         assert_identical(serial, batched)
 
-    def test_pruned_portfolio_and_margins(self):
+    def test_pruned_portfolio_and_margins(self, monkeypatch):
+        monkeypatch.setattr(restarts, "PRUNE_ITER", 10)
         pair = bench_pair(seed=1)
         cfg = SLOTAlignConfig(
             n_bases=2, structure_lr=0.1, max_outer_iter=80,
-            anneal=False, portfolio_prune_iter=10, track_history=True,
+            anneal=False, track_history=True,
         )
         serial, batched = solve_both(cfg, pair.source, pair.target)
         assert_identical(serial, batched)
 
-    def test_no_pruning_full_budget(self):
+    def test_no_pruning_full_budget(self, monkeypatch):
+        monkeypatch.setattr(restarts, "prune_schedule", lambda config: [])
         pair = bench_pair(seed=2)
         cfg = SLOTAlignConfig(
             n_bases=2, structure_lr=0.1, max_outer_iter=30,
-            portfolio_prune_iter=0, track_history=True,
+            track_history=True,
         )
         assert_identical(*solve_both(cfg, pair.source, pair.target))
 
@@ -132,12 +135,25 @@ class TestPortfolioBitwise:
         assert_identical(*solve_both(cfg, pair.source, pair.target))
 
     def test_general_unfused_gradient_path(self):
+        """Bases that are not exactly symmetric take the general
+        four-GEMM plan gradient on both paths."""
         pair = bench_pair(seed=5)
         cfg = SLOTAlignConfig(
             n_bases=2, structure_lr=0.1, max_outer_iter=30,
-            fused_contractions=False, track_history=True,
+            track_history=True,
         )
-        assert_identical(*solve_both(cfg, pair.source, pair.target))
+        engine = AlignmentEngine(cfg, backend="fused-dense", cache=None)
+        rng = np.random.default_rng(5)
+        bases = tuple(
+            [basis + 1e-3 * rng.random(basis.shape) for basis in side]
+            for side in engine.plan(pair.source, pair.target).bases
+        )
+        problem = prepare_problem(pair.source, pair.target, cfg, bases=bases)
+        assert not JointObjective(*problem.bases).fused, (
+            "fixture no longer exercises the general formulas"
+        )
+        [stacked] = solve_coalesced([problem])
+        assert_identical(engine.solve(problem), stacked)
 
     def test_informative_init_single_start(self):
         """The similarity init collapses the portfolio to one run."""

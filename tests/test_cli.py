@@ -78,18 +78,49 @@ class TestEntryPoint:
     """``python -m repro`` turns a library error into one line, status 2."""
 
     @pytest.mark.parametrize(
-        "option, message",
+        "argv, message",
         [
-            (["--iters", "0"], "max_outer_iter must be >= 1, got 0"),
-            (["--scale", "-1"], "scale must be in (0, 1], got -1.0"),
-            (["--edge-noise", "1.5"], "ratio must be in [0, 1], got 1.5"),
-            (["--tau", "nan"], "structure_lr must be finite, got nan"),
+            (["align", "cora", "--iters", "0"], "max_outer_iter must be >= 1, got 0"),
+            (["align", "cora", "--scale", "-1"], "scale must be in (0, 1], got -1.0"),
+            (
+                ["align", "cora", "--edge-noise", "1.5"],
+                "ratio must be in [0, 1], got 1.5",
+            ),
+            (["align", "cora", "--tau", "nan"], "structure_lr must be finite, got nan"),
+            (
+                ["serve", "cora", "--scale", "0.02", "--workers", "0"],
+                "workers must be >= 1, got 0",
+            ),
+            (
+                ["serve", "cora", "--scale", "0.02", "--max-batch", "0"],
+                "max_batch must be >= 1, got 0",
+            ),
+            (
+                ["serve", "cora", "--scale", "0.02", "--n-jobs", "0"],
+                "n_jobs and n_distinct must be >= 1, got 0 and 4",
+            ),
+            (
+                ["serve", "cora", "--scale", "0.02", "--n-distinct", "0"],
+                "n_jobs and n_distinct must be >= 1, got 24 and 0",
+            ),
+            (
+                [
+                    "serve", "cora", "--scale", "0.02", "--iters", "2001",
+                    "--n-jobs", "2", "--n-distinct", "1",
+                ],
+                "job 0 ended rejected: iteration budget exceeded: requested "
+                "2001 outer iterations (max_outer_iter=2000)",
+            ),
         ],
-        ids=["ConfigError", "DatasetError", "GraphError", "non-finite"],
+        ids=[
+            "ConfigError", "DatasetError", "GraphError", "non-finite",
+            "serve-workers", "serve-max-batch", "serve-n-jobs",
+            "serve-n-distinct", "serve-rejected-job",
+        ],
     )
-    def test_typed_error_is_one_line(self, option, message):
+    def test_typed_error_is_one_line(self, argv, message):
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "align", "cora", *option],
+            [sys.executable, "-m", "repro", *argv],
             env=dict(os.environ, PYTHONPATH=str(SRC)),
             capture_output=True,
             text=True,

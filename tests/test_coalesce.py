@@ -13,7 +13,7 @@ from repro.core import SLOTAlignConfig
 from repro.core.objective import JointObjective
 from repro.core.views import center_kernel
 from repro.datasets import make_semi_synthetic_pair
-from repro.engine import AlignmentEngine, coalescible, solve_coalesced
+from repro.engine import AlignmentEngine, coalescible, restarts, solve_coalesced
 from repro.engine.pipeline import prepare_problem
 from repro.exceptions import ConfigError
 from repro.graphs import stochastic_block_model
@@ -99,13 +99,13 @@ class TestCoalescedBitwise:
         assert len(results[0].extras["start_objectives"]) == 1
         assert len(results[1].extras["start_objectives"]) > 1
 
-    def test_portfolio_pruning_stays_within_each_pair(self):
+    def test_portfolio_pruning_stays_within_each_pair(self, monkeypatch):
         """With pruning enabled, coalesced pruning decisions must match
         each pair's own single-pair schedule exactly (same plans)."""
+        monkeypatch.setattr(restarts, "PRUNE_ITER", 5)
         config = SLOTAlignConfig(
             n_bases=2, structure_lr=0.1, max_outer_iter=40,
-            sinkhorn_iter=20, track_history=False,
-            portfolio_prune_iter=5, anneal=False,
+            sinkhorn_iter=20, track_history=False, anneal=False,
         )
         pairs = [bench_pair(seed=s) for s in (11, 13, 17)]
         engine = AlignmentEngine(config, cache=None)
@@ -138,7 +138,7 @@ class TestCoalescedBitwise:
             for pair, bases in zip(pairs, (symmetric, centred))
         ]
         fused = [
-            JointObjective(*problem.bases, fused=FAST.fused_contractions).fused
+            JointObjective(*problem.bases).fused
             for problem in problems
         ]
         assert fused == [True, False], "fixture no longer mixes formulas"

@@ -119,6 +119,11 @@ class TestPipelineStages:
 
 
 class TestPlanCache:
+    def test_negative_budget_refused(self):
+        # a ConfigError, so `repro` reports it as one line, not a traceback
+        with pytest.raises(ConfigError, match="max_bytes must be >= 0, got -1"):
+            PlanCache(max_bytes=-1)
+
     def test_repeated_pairs_hit_the_cache(self):
         pair = bench_pair()
         cache = PlanCache()

@@ -84,8 +84,6 @@ class TestPartialPairSpec:
             SLOTAlignConfig(partial_mass=1.5)
         with pytest.raises(ConfigError, match="partial_rho"):
             SLOTAlignConfig(partial_rho=0.0)
-        with pytest.raises(ConfigError, match="partial_anchor_weight"):
-            SLOTAlignConfig(partial_anchor_weight=-1.0)
 
 
 class TestMakePartialPair:

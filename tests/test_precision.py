@@ -27,6 +27,7 @@ from repro.engine import (
     ensure_backend_precision,
     ensure_precision,
     get_backend,
+    mixed,
     solve_coalesced,
 )
 from repro.engine.precision import (
@@ -38,7 +39,7 @@ from repro.engine.precision import (
 from repro.exceptions import ConfigError
 from repro.graphs import stochastic_block_model
 from repro.graphs.features import community_bag_of_words
-from repro.ot.sinkhorn import F32_SINKHORN_TOL
+from repro.ot.sinkhorn import F32_SINKHORN_TOL, SINKHORN_TOL
 
 FAST = SLOTAlignConfig(
     n_bases=2, structure_lr=0.1, max_outer_iter=30, sinkhorn_iter=20,
@@ -72,16 +73,20 @@ class TestPrecisionModel:
         with pytest.raises(ConfigError, match="float32.*float64"):
             ensure_precision("float16")
 
-    def test_float64_applies_no_tolerance_floor(self):
-        assert FLOAT64.effective_sinkhorn_tol(1e-9) == 1e-9
-        assert FLOAT64.effective_sinkhorn_tol(0.0) == 0.0
+    def test_each_precision_carries_its_sinkhorn_tolerance(self, monkeypatch):
+        assert FLOAT64.sinkhorn_tol == SINKHORN_TOL
+        assert FLOAT32.sinkhorn_tol == F32_SINKHORN_TOL
+        # a float32 solve projects to the float32 tolerance
+        tols = []
 
-    def test_float32_floors_the_sinkhorn_tolerance(self):
-        assert FLOAT32.effective_sinkhorn_tol(1e-9) == F32_SINKHORN_TOL
-        # an explicit "no convergence checks" is preserved as-is
-        assert FLOAT32.effective_sinkhorn_tol(0.0) == 0.0
-        # tolerances already above the floor pass through
-        assert FLOAT32.effective_sinkhorn_tol(1e-3) == 1e-3
+        def spy(workspace, n_slices, max_iter, tol):
+            tols.append(tol)
+            return kernel(workspace, n_slices, max_iter=max_iter, tol=tol)
+
+        kernel = mixed.sinkhorn_log_kernel_fast_workspace
+        monkeypatch.setattr(mixed, "sinkhorn_log_kernel_fast_workspace", spy)
+        solve(bench_pair(seed=0), precision="float32")
+        assert tols and set(tols) == {F32_SINKHORN_TOL}
 
     def test_precision_dtype_is_not_part_of_the_repr(self):
         assert "dtype" not in repr(SolverPrecision("x", np.dtype("f4"), 0.0))

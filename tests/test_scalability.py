@@ -77,10 +77,10 @@ class TestDivideAndConquer:
 
     def test_block_size_validation(self):
         with pytest.raises(GraphError):
-            DivideAndConquerAligner(FAST_CFG, max_block_size=10, min_block_size=8)
+            DivideAndConquerAligner(FAST_CFG, max_block_size=10)
         # the derived part count divides by max_block_size
-        with pytest.raises(GraphError, match="min_block_size must be >= 1"):
-            DivideAndConquerAligner(FAST_CFG, max_block_size=0, min_block_size=0)
+        with pytest.raises(GraphError, match="max_block_size must be >= 16"):
+            DivideAndConquerAligner(FAST_CFG, max_block_size=0)
 
     def test_runtime_recorded(self):
         pair = big_pair(seed=6)
@@ -120,9 +120,7 @@ class TestScaleSubsystemIntegration:
 
     def test_kway_respects_min_block_size(self):
         pair = big_pair(seed=7)  # 80 nodes
-        aligner = DivideAndConquerAligner(
-            FAST_CFG, n_parts=20, min_block_size=8
-        )
+        aligner = DivideAndConquerAligner(FAST_CFG, n_parts=20)
         with pytest.raises(GraphError):
             aligner.fit(pair.source, pair.target)
 

@@ -10,7 +10,7 @@ than single examples:
   exactly equal.
 * **partitioner invariants** — k-way partitions are exact, balanced
   and covering; the part count derived from ``max_block_size`` keeps
-  every part between ``min_block_size`` and ``max_block_size``.
+  every part between ``MIN_BLOCK_SIZE`` and ``max_block_size``.
 * **rebalance edge cases** — empty parts, capacity spill and the
   everyone-prefers-one-part overflow path never drop or duplicate a
   node.
@@ -132,9 +132,7 @@ class TestPartitioners:
     @staticmethod
     def derived_parts(graph, max_block_size):
         """The source partition ``n_parts=None`` derives."""
-        aligner = DivideAndConquerAligner(
-            CRISP_CFG, max_block_size=max_block_size, min_block_size=8
-        )
+        aligner = DivideAndConquerAligner(CRISP_CFG, max_block_size=max_block_size)
         return aligner._partition_source(graph)
 
     def test_derived_parts_respect_size_cap(self):

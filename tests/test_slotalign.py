@@ -1,6 +1,7 @@
 """Tests for the SLOTAlign core algorithm (Algorithm 1, Prop. 4, Thm. 5)."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from repro.core import (
     SLOTAlignConfig,
     slotalign,
 )
+from repro.core.config import ETA_START
 from repro.core.slotalign import feature_similarity_plan
 from repro.datasets import make_semi_synthetic_pair
+from repro.engine import restarts
 from repro.eval import hits_at_k
 from repro.exceptions import ConfigError, GraphError
 from repro.graphs import (
@@ -33,6 +36,20 @@ def sbm_pair(seed=0, edge_noise=0.0, n_per_block=15):
 
 FAST = dict(max_outer_iter=60, sinkhorn_iter=60, track_history=False)
 
+# (module, constant, value) of every solver number no config field sets
+FIXED_SOLVER_NUMBERS = [
+    ("repro.core.config", "ETA_START", 0.5),
+    ("repro.core.config", "ANNEAL_FRACTION", 0.6),
+    ("repro.engine.restarts", "ALPHA_TOL", 1e-6),
+    ("repro.engine.restarts", "PLAN_TOL", 1e-7),
+    ("repro.engine.restarts", "PRUNE_ITER", 20),
+    ("repro.engine.restarts", "PRUNE_MARGIN", 0.25),
+    ("repro.engine.restarts", "REFINE_MARGIN", 0.05),
+    ("repro.engine.partial", "_ANCHOR_WEIGHT", 10.0),
+    ("repro.ot.sinkhorn", "SINKHORN_TOL", 1e-9),
+    ("repro.scale.aligner", "MIN_BLOCK_SIZE", 8),
+]
+
 
 class TestConfig:
     def test_defaults_valid(self):
@@ -44,23 +61,35 @@ class TestConfig:
             dict(n_bases=0),
             dict(structure_lr=-1.0),
             dict(sinkhorn_lr=0.0),
+            dict(sinkhorn_lr=0.6),
             dict(max_outer_iter=0),
             dict(sinkhorn_iter=0),
-            dict(alpha_tol=-1.0),
-            dict(alpha_steps=0),
             dict(include_views=()),
             dict(include_views=("edge", "magic")),
-            dict(eta_start=0.001, sinkhorn_lr=0.01),
-            dict(anneal_fraction=0.0),
-            dict(sinkhorn_tol=-1e-9),
-            dict(portfolio_prune_iter=-1),
-            dict(portfolio_prune_margin=-0.1),
-            dict(portfolio_refine_margin=-0.1),
+            dict(structure_lr=0.0),
+            dict(sinkhorn_lr=ETA_START + 1e-9),
+            dict(hop_mix=0.0),
+            dict(hop_mix=1.5),
+            dict(partial_mass=0.0),
+            dict(partial_mass=1.5),
+            dict(partial_rho=0.0),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SLOTAlignConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # annealing may start at the paper value itself
+            dict(sinkhorn_lr=ETA_START),
+            dict(max_outer_iter=1, sinkhorn_iter=1),
+            dict(n_bases=1, single_start_view="edge"),
+        ],
+    )
+    def test_boundary_configs_accepted(self, kwargs):
+        SLOTAlignConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
@@ -71,6 +100,15 @@ class TestConfig:
         """NaN passes no comparison, so range checks alone let it in."""
         with pytest.raises(ConfigError, match=f"^{name} must be finite"):
             SLOTAlignConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "module, name, value",
+        FIXED_SOLVER_NUMBERS,
+        ids=[f"{m.rsplit('.', 1)[-1]}.{n}" for m, n, _ in FIXED_SOLVER_NUMBERS],
+    )
+    def test_fixed_solver_numbers(self, module, name, value):
+        """The numbers no config sets; the golden plan hashes assume them."""
+        assert getattr(importlib.import_module(module), name) == value
 
 
 class TestAlignmentQuality:
@@ -160,7 +198,9 @@ class TestTheorem5:
         # the tail movement must be much smaller than the head movement
         assert deltas[-10:].sum() < 0.2 * deltas[:10].sum() + 1e-12
 
-    def test_converged_flag_on_long_run(self):
+    def test_converged_flag_on_long_run(self, monkeypatch):
+        monkeypatch.setattr(restarts, "ALPHA_TOL", 1e-4)
+        monkeypatch.setattr(restarts, "PLAN_TOL", 1e-4)
         pair = sbm_pair(seed=12)
         cfg = SLOTAlignConfig(
             n_bases=2,
@@ -169,13 +209,50 @@ class TestTheorem5:
             sinkhorn_iter=50,
             anneal=False,
             multi_start=False,
-            alpha_tol=1e-4,
-            plan_tol=1e-4,
             track_history=False,
         )
         aligner = SLOTAlign(cfg)
         aligner.fit(pair.source, pair.target)
         assert aligner.history.converged
+
+
+class TestSchedules:
+    """η annealing and portfolio pruning at the default 100 iterations,
+    where annealing decays over the first 60."""
+
+    @pytest.mark.parametrize(
+        "kwargs, iteration, eta",
+        [
+            (dict(), 0, 0.5),
+            # geometric decay: halfway through, the geometric mean
+            (dict(), 30, (0.5 * 0.01) ** 0.5),
+            (dict(), 60, 0.01),
+            (dict(), 99, 0.01),
+            (dict(anneal=False), 0, 0.01),
+            # nothing to anneal when the paper value is the start value
+            (dict(sinkhorn_lr=0.5), 0, 0.5),
+        ],
+    )
+    def test_eta_schedule(self, kwargs, iteration, eta):
+        config = SLOTAlignConfig(**kwargs)
+        assert restarts.eta_schedule(config, iteration) == pytest.approx(
+            eta, rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs, schedule",
+        [
+            (dict(anneal=False), [(20, 0.25), (60, 0.05)]),
+            (dict(anneal=False, max_outer_iter=60), [(20, 0.25)]),
+            (dict(anneal=False, max_outer_iter=20), []),
+            # annealed: one checkpoint, 20 iterations past the horizon
+            (dict(), [(80, 0.05)]),
+            (dict(max_outer_iter=50), []),
+            (dict(sinkhorn_lr=0.5), [(20, 0.25), (60, 0.05)]),
+        ],
+    )
+    def test_prune_schedule(self, kwargs, schedule):
+        assert restarts.prune_schedule(SLOTAlignConfig(**kwargs)) == schedule
 
 
 class TestMechanics:
@@ -205,14 +282,18 @@ class TestMechanics:
         assert result.extras["selected_start"] in survivors
         assert result.extras["objective"] == pytest.approx(min(survivors.values()))
 
-    def test_portfolio_pruning_preserves_winner(self):
+    def test_portfolio_pruning_preserves_winner(self, monkeypatch):
         """Successive halving must return the same plan as the full
         portfolio whenever the eventual winner survives pruning."""
         pair = sbm_pair(seed=24, edge_noise=0.1)
-        full_cfg = SLOTAlignConfig(n_bases=2, portfolio_prune_iter=0, **FAST)
-        pruned_cfg = SLOTAlignConfig(n_bases=2, **FAST)
-        full = SLOTAlign(full_cfg).fit(pair.source, pair.target)
-        halved = SLOTAlign(pruned_cfg).fit(pair.source, pair.target)
+        cfg = SLOTAlignConfig(n_bases=2, **FAST)
+        halved = SLOTAlign(cfg).fit(pair.source, pair.target)
+        monkeypatch.setattr(restarts, "prune_schedule", lambda config: [])
+        full = SLOTAlign(cfg).fit(pair.source, pair.target)
+        assert not full.extras["portfolio"]["pruned"]
+        assert halved.extras["portfolio"]["pruned"], (
+            "regression in the fixture: nothing was pruned"
+        )
         assert halved.extras["selected_start"] == full.extras["selected_start"]
         # the survivor followed its exact unpruned iterate path
         np.testing.assert_array_equal(halved.plan, full.plan)
@@ -246,7 +327,7 @@ class TestMechanics:
         result = SLOTAlign(cfg).fit(pair.source, pair.target)
         assert list(result.extras["start_objectives"]) == ["uniform"]
 
-    def test_single_start_view_vertex(self):
+    def test_single_start_view_vertex(self, monkeypatch):
         """A committed single start begins at the requested view's
         simplex vertex and matches the portfolio's run of that label."""
         pair = sbm_pair(seed=31)
@@ -255,10 +336,10 @@ class TestMechanics:
         )
         result = SLOTAlign(node_cfg).fit(pair.source, pair.target)
         assert list(result.extras["start_objectives"]) == ["node"]
-        full_cfg = SLOTAlignConfig(
-            n_bases=2, portfolio_prune_iter=0, **FAST
+        monkeypatch.setattr(restarts, "prune_schedule", lambda config: [])
+        full = SLOTAlign(SLOTAlignConfig(n_bases=2, **FAST)).fit(
+            pair.source, pair.target
         )
-        full = SLOTAlign(full_cfg).fit(pair.source, pair.target)
         assert result.extras["objective"] == pytest.approx(
             full.extras["start_objectives"]["node"]
         )

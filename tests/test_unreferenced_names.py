@@ -9,17 +9,26 @@ A name that nothing there mentions is dead weight the tests keep alive;
 delete it with its tests, or list it below with the reason a test needs
 it.
 
-This is a test rather than a ``repro lint`` rule because the lint engine
+The same code must also set every :class:`SLOTAlignConfig` field: each
+field has to be passed as a keyword argument of some call there
+(``SLOTAlignConfig(...)``, ``replace(...)``, a ``dict(...)`` profile).
+A field no caller sets is a knob only tests turn; make it a constant of
+the module that reads it, or list it below with the reason it stays.
+
+These are tests rather than ``repro lint`` rules because the lint engine
 walks only the package, and a reference from ``benchmarks/``,
-``examples/`` or ``perfbench/`` must count too.  The scan is textual,
-so a mention in a comment or docstring counts as a reference: the guard
-catches names nobody talks about, not every dead path.
+``examples/`` or ``perfbench/`` must count too.  The name scan is
+textual, so a mention in a comment or docstring counts as a reference:
+the guard catches names nobody talks about, not every dead path.
 """
 
 import ast
+import dataclasses
 import re
 from collections import Counter
 from pathlib import Path
+
+from repro.core.config import SLOTAlignConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -60,6 +69,8 @@ ALLOWED = {
     ),
 }
 
+#: ``SLOTAlignConfig`` field -> why it stays a field though no caller sets it
+UNSET_FIELDS_ALLOWED: dict[str, str] = {}
 
 WORD = re.compile(r"\w+")
 
@@ -96,14 +107,20 @@ def public_definitions():
                 yield key, name, WORD.findall(body).count(name)
 
 
-def unreferenced_names():
-    """Keys of the public definitions that no caller file mentions, as a
-    whole word, outside their own body."""
+def caller_files():
+    """The package's modules (``__init__.py`` re-exports aside) and every
+    file under the caller directories."""
     callers = [p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py"]
     for directory in CALLER_DIRS:
         callers.extend((ROOT / directory).rglob("*.py"))
+    return callers
+
+
+def unreferenced_names():
+    """Keys of the public definitions that no caller file mentions, as a
+    whole word, outside their own body."""
     mentions = Counter()
-    for path in callers:
+    for path in caller_files():
         mentions.update(WORD.findall(path.read_text(encoding="utf-8")))
     return {
         key for key, name, own in public_definitions() if mentions[name] == own
@@ -123,3 +140,29 @@ def test_every_public_name_is_reached_outside_tests():
         "(drop them from the allowlist): " + ", ".join(stale)
     )
 
+
+
+def keywords_passed():
+    """Every keyword-argument name some call in a caller file passes."""
+    names = set()
+    for path in caller_files():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                names.update(kw.arg for kw in node.keywords if kw.arg)
+    return names
+
+
+def test_every_config_field_is_set_by_some_caller():
+    fields = {spec.name for spec in dataclasses.fields(SLOTAlignConfig)}
+    unset = fields - keywords_passed()
+    unexpected = sorted(unset - set(UNSET_FIELDS_ALLOWED))
+    assert not unexpected, (
+        "SLOTAlignConfig fields no call in src/repro, benchmarks/, examples/ "
+        "or perfbench/ sets (make each a module constant, or add it to "
+        "UNSET_FIELDS_ALLOWED with a reason): " + ", ".join(unexpected)
+    )
+    stale = sorted(set(UNSET_FIELDS_ALLOWED) - unset)
+    assert not stale, (
+        "UNSET_FIELDS_ALLOWED entries that a caller sets now or that are no "
+        "longer fields (drop them from the allowlist): " + ", ".join(stale)
+    )
