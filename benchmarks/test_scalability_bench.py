@@ -78,9 +78,7 @@ def test_bench_partitioned_scaling(benchmark):
         pair,
     )
     parallel_out, parallel_seconds = _time_fit(
-        DivideAndConquerAligner(
-            BENCH_CFG, n_parts=4, executor="process", max_workers=4
-        ),
+        DivideAndConquerAligner(BENCH_CFG, n_parts=4, executor="process"),
         pair,
     )
     # the executor is pure scheduling: bitwise-equal results
@@ -162,9 +160,7 @@ def test_bench_partitioned_scaling(benchmark):
         best = None
         for _ in range(2):
             start = time.perf_counter()
-            _, used = run_blocks(
-                heavy_cfg, heavy_blocks, executor=executor, max_workers=4
-            )
+            _, used = run_blocks(heavy_cfg, heavy_blocks, executor=executor)
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
         return best, used

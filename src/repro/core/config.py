@@ -49,6 +49,15 @@ class SLOTAlignConfig:
     track_history:
         Record the objective after every outer iteration (needed by the
         convergence tests, costs one tensor contraction per iteration).
+    include_views:
+        The view families whose bases are built, a non-empty subset of
+        ``("edge", "node", "subgraph")``; bases are materialised in
+        that order (edge, node, then subgraph hops) and truncated to
+        ``n_bases``.  The node and subgraph views need node features.
+    learn_weights:
+        Learn the structure weights β with the Eq. 11 α-update.
+        ``False`` freezes β at its start in every restart; the
+        ``node-frozen`` restart of the portfolio is frozen either way.
     multi_start:
         Run the alternating scheme from several initial weight vectors
         (the uniform mixture plus the edge-/node-view vertices of the

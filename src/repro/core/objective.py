@@ -41,6 +41,7 @@ Returned ``D`` matrices and gradients may be cached — treat them as
 read-only.  Input plans are identity-memoised: do not mutate a plan
 array in place between evaluations (pass a fresh array instead, as the
 solver does), or the memo will serve results for the old contents.
+A pickled objective carries neither cache.
 """
 
 from __future__ import annotations
@@ -104,6 +105,24 @@ class JointObjective:
         # references, so id()-keys cannot alias freed arrays.
         self._combined_cache: dict[tuple[bytes, bytes], tuple] = {}
         self._product_cache: dict[tuple, dict] = {}
+
+    def __getstate__(self) -> dict:
+        # a pickled copy (a pool worker's) starts with empty caches: an
+        # id() key means nothing in another process and could match an
+        # unrelated plan there.  The per-basis views are rebuilt from
+        # the stacks, so each basis travels once.
+        state = dict(self.__dict__)
+        for name in ("_combined_cache", "_product_cache",
+                     "source_bases", "target_bases"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.source_bases = list(self.source_stack)
+        self.target_bases = list(self.target_stack)
+        self._combined_cache = {}
+        self._product_cache = {}
 
     # ------------------------------------------------------------------
     def combined(self, beta_s: np.ndarray, beta_t: np.ndarray):  #: pinned

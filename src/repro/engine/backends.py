@@ -234,8 +234,8 @@ class SparsePartitionBackend:
     bases are never built — the plan stage's laziness is what makes
     one engine front both regimes.  Keyword options go to
     :class:`~repro.scale.aligner.DivideAndConquerAligner` unchanged;
-    only the executor default differs: ``"auto"``, a process pool
-    wherever more than one CPU is visible.
+    only the executor default differs: ``"auto"``, the engine's shared
+    process pool wherever more than one CPU is visible.
     """
 
     name = "sparse"

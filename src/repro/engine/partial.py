@@ -83,7 +83,7 @@ def _problem_anchors(problem: PreparedProblem) -> np.ndarray | None:
     return anchors
 
 
-def offset_projection(offset: np.ndarray, block: tuple[int, int] | None):
+class OffsetProjection:
     """Balanced projection with a log-domain prior on the π-update.
 
     ``offset`` (same shape as the plan) is added to every iteration's
@@ -92,13 +92,18 @@ def offset_projection(offset: np.ndarray, block: tuple[int, int] | None):
     dummy–dummy cell, which is re-pinned ``_DUMMY_BLOCK_PENALTY`` nats
     below the kernel's minimum each iteration — an offset relative to
     the kernel's own scale, because the proximal kernel's dynamic range
-    grows with ``1/η`` and would swallow any fixed penalty.
+    grows with ``1/η`` and would swallow any fixed penalty.  A
+    module-level class, so a run carrying it pickles to a pool worker.
     """
 
-    def project(run, log_kernel: np.ndarray, eta: float) -> np.ndarray:
-        kernel = log_kernel + offset
-        if block is not None:
-            kernel[block] = float(kernel.min()) - _DUMMY_BLOCK_PENALTY
+    def __init__(self, offset: np.ndarray, block: tuple[int, int] | None):
+        self.offset = offset
+        self.block = block
+
+    def __call__(self, run, log_kernel: np.ndarray, eta: float) -> np.ndarray:
+        kernel = log_kernel + self.offset
+        if self.block is not None:
+            kernel[self.block] = float(kernel.min()) - _DUMMY_BLOCK_PENALTY
         result = sinkhorn_log_kernel_fast(
             kernel,
             run.mu,
@@ -108,10 +113,8 @@ def offset_projection(offset: np.ndarray, block: tuple[int, int] | None):
         )
         return result.plan
 
-    return project
 
-
-def unbalanced_projection(offset: np.ndarray | None):
+class UnbalancedProjection:
     """Projection with KL-relaxed marginals (plus an optional prior).
 
     ``η`` — the proximal coefficient the log kernel was built with — is
@@ -121,12 +124,16 @@ def unbalanced_projection(offset: np.ndarray | None):
     scaling exponentiates the max-pinned kernel once per absorption and
     iterates with matvecs; the run's marginals are ``partial_mass``
     times the uniform ones, so never zero, as its log-domain potentials
-    require.
+    require.  A module-level class, so a run carrying it pickles to a
+    pool worker.
     """
 
-    def project(run, log_kernel: np.ndarray, eta: float) -> np.ndarray:
-        if offset is not None:
-            log_kernel = log_kernel + offset
+    def __init__(self, offset: np.ndarray | None):
+        self.offset = offset
+
+    def __call__(self, run, log_kernel: np.ndarray, eta: float) -> np.ndarray:
+        if self.offset is not None:
+            log_kernel = log_kernel + self.offset
         # the unbalanced fixed point is NOT shift-invariant in the
         # kernel (a constant shift c rescales the plan's total mass by
         # exp(c(1-x)/(1+x)) for scaling exponent x), and the proximal
@@ -143,8 +150,6 @@ def unbalanced_projection(offset: np.ndarray | None):
             tol=SINKHORN_TOL,
         )
         return result.plan
-
-    return project
 
 
 def _extend_bases(bases: list[np.ndarray]) -> list[np.ndarray]:
@@ -237,7 +242,7 @@ class PartialDummyBackend:
             objective = JointObjective(run_source, run_target)
             runs = restart_runs(
                 objective, cfg, plan0_run, mu_run, nu_run, informative_init,
-                project=offset_projection(offset, block),
+                project=OffsetProjection(offset, block),
             )
             [(outcomes, checkpoints)] = run_portfolio([runs], cfg)
         result = portfolio_result(
@@ -281,7 +286,7 @@ class PartialUnbalancedBackend:
 
     The portfolio, restarts and α-updates are the reference machinery;
     only the π-update's projection differs (see
-    :func:`unbalanced_projection`).
+    :class:`UnbalancedProjection`).
     Marginals are scaled to total mass ``partial_mass`` so the KL
     penalty pulls the transported mass toward the requested overlap;
     ``partial_rho`` sets how expensive deviating from the (scaled)
@@ -311,7 +316,7 @@ class PartialUnbalancedBackend:
                 offset[anchors[:, 0], anchors[:, 1]] += _ANCHOR_WEIGHT
             runs = restart_runs(
                 objective, cfg, plan0_run, mu_run, nu_run, informative_init,
-                project=unbalanced_projection(offset),
+                project=UnbalancedProjection(offset),
             )
             [(outcomes, checkpoints)] = run_portfolio([runs], cfg)
         result = portfolio_result(

@@ -404,6 +404,10 @@ class PreparedProblem:
                 raise GraphError(
                     f"init_plan must have shape {(n, m)}, got {plan.shape}"
                 )
+            if not np.all(np.isfinite(plan)):
+                # NaN and inf pass both checks below and poison the
+                # normalised start; refuse them here, before any solve
+                raise GraphError("init_plan must be finite")
             if plan.min() < 0 or plan.sum() <= 0:
                 raise GraphError(
                     "init_plan must be non-negative with positive mass"

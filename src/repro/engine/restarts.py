@@ -19,7 +19,9 @@ once:
   objects with its own body.
 * :func:`run_portfolio` is the one scheduler: checkpoints, pruning
   within each pair's restart group, then the final advance, whatever
-  the stepper.
+  the stepper.  The serial step may advance the live runs on the
+  shared worker pool (:mod:`repro.engine.pool`); checkpoints, pruning
+  and selection stay in the caller, so the pool changes no bit.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.core.convergence import IterateHistory
 from repro.core.objective import JointObjective
 from repro.core.result import AlignmentResult
 from repro.engine.planning import PreparedProblem
+from repro.engine.pool import blas_threads, pool_map
 from repro.exceptions import ConvergenceError, GraphError
 from repro.ot.simplex import project_concatenated_simplices
 from repro.ot.sinkhorn import SINKHORN_TOL, sinkhorn_log_kernel_fast
@@ -237,6 +240,20 @@ class RestartRun:
             self._step_once()
         self.elapsed += time.perf_counter() - start
 
+    def state(self) -> tuple:
+        """What a step changes: β, plan, history, iteration, timings."""
+        return (
+            self.alpha, self.plan, self.history, self.iteration,
+            self.timings, self.elapsed,
+        )
+
+    def adopt(self, state: tuple) -> None:
+        """Take the :meth:`state` of a copy advanced elsewhere."""
+        (
+            self.alpha, self.plan, self.history, self.iteration,
+            self.timings, self.elapsed,
+        ) = state
+
     def plan64(self) -> np.ndarray:
         """The plan iterate in float64.
 
@@ -352,6 +369,16 @@ class RestartRun:
         return self.project(self, log_kernel, eta)
 
 
+def _advanced(run: RestartRun, target: int) -> tuple:
+    """Pool task: advance a shipped copy of ``run``, return its state.
+
+    Only the mutable state travels back; the caller's run keeps its
+    objective, so the caller holds no second copy of the bases.
+    """
+    run.step_until(target)
+    return run.state()
+
+
 def restart_runs(
     objective: JointObjective,
     config: SLOTAlignConfig,
@@ -402,20 +429,33 @@ def run_portfolio(
     group, its run outcomes and the checkpoints it pruned at.
 
     ``step_all`` is the stepper.  ``None`` is the serial step: each live
-    run is advanced to the target in turn, exactly as the historical
-    single-pair loop did.  Otherwise ``step_all(runs)`` takes every
+    run is advanced to the target on its own, exactly as the historical
+    single-pair loop did: on the shared worker pool when BLAS runs one
+    thread per call and :func:`~repro.engine.pool.pool_map` takes the
+    runs, in turn otherwise.  A worker steps a copy and sends back its
+    :meth:`RestartRun.state`; after a broken pool the runs, untouched,
+    are advanced in turn.  Otherwise ``step_all(runs)`` takes every
     listed run one outer iteration together (the stacked and workspace
     lockstep bodies); live runs then share one iteration counter.
-    Trajectories never depend on the stepper or on the other runs, so
-    every choice yields the same bits per precision.
+    Trajectories never depend on the stepper, the process or the other
+    runs, so every choice yields the same bits per precision.
     """
     everyone = [run for runs in groups for run in runs]
 
     def advance(target: int) -> None:
         if step_all is None:
-            for run in everyone:
-                if run.active:
+            live = [run for run in everyone if run.active]
+            states = None
+            if blas_threads() == 1:
+                # with threaded BLAS the workers oversubscribe the CPUs:
+                # a pooled n=108 solve ran 2-3x slower than in turn
+                states = pool_map(_advanced, [(run, target) for run in live])
+            if states is None:
+                for run in live:
                     run.step_until(target)
+            else:
+                for run, state in zip(live, states):
+                    run.adopt(state)
             return
         while True:
             live = [

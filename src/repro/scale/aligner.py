@@ -11,9 +11,9 @@ as future work.  This subsystem implements that route as a pipeline:
    every part under ``max_block_size``; target nodes are assigned to
    the source parts through cheap intra-graph signatures, mimicking
    LIME's bi-directional partition matching;
-2. **align** each subgraph pair with SLOTAlign, serially or on a
-   process pool (:mod:`repro.scale.executor` — pure scheduling, block
-   results are bitwise-identical across backends);
+2. **align** each subgraph pair with SLOTAlign, serially or on the
+   engine's shared process pool (:mod:`repro.scale.executor` — pure
+   scheduling, block results are bitwise-identical across backends);
 3. **stitch** the block plans into one global sparse correspondence
    matrix (CSR, block-structured);
 4. **repair** the partition boundary: high-confidence matches seed an
@@ -136,9 +136,6 @@ class DivideAndConquerAligner:
         ``"serial"`` | ``"process"`` | ``"auto"``.  Block results are
         bitwise-identical across backends; see
         :mod:`repro.scale.executor`.
-    max_workers:
-        Process-pool size (default: one per block, capped at the CPU
-        count).
     boundary_repair:
         Run the anchor-based boundary-repair pass on the stitched plan
         (default on; it is pure post-processing and recovers cross-part
@@ -155,7 +152,6 @@ class DivideAndConquerAligner:
         max_block_size: int = 400,
         n_parts: int | None = None,
         executor: str = "serial",
-        max_workers: int | None = None,
         boundary_repair: bool = True,
         solver_backend: str = "fused-dense",
     ):
@@ -175,7 +171,6 @@ class DivideAndConquerAligner:
         self.max_block_size = max_block_size
         self.n_parts = n_parts
         self.executor = executor
-        self.max_workers = max_workers
         self.boundary_repair = boundary_repair
         self.solver_backend = solver_backend
 
@@ -219,7 +214,6 @@ class DivideAndConquerAligner:
                 block_config,
                 blocks,
                 executor=self.executor,
-                max_workers=self.max_workers,
                 solver_backend=self.solver_backend,
             )
             plan = self._stitch(

@@ -55,6 +55,7 @@ from repro.engine.planning import (
     prepare_problem,
     shared_plan_cache,
 )
+from repro.engine.pool import shared_pool
 from repro.exceptions import ConfigError
 from repro.graphs.graph import AttributedGraph
 from repro.serve.budget import AdmissionPolicy
@@ -159,12 +160,18 @@ class AlignmentService:
     # lifecycle
     def start(self) -> "AlignmentService":
         """Start the worker pool (idempotent, and safe to race: two
-        threads calling ``start`` concurrently spawn one pool)."""
+        threads calling ``start`` concurrently spawn one pool).
+
+        The engine's shared process pool, which advances a solo job's
+        restart runs, is created first: it forks only while the process
+        runs one thread, so never once the worker threads exist.
+        """
         with self._lifecycle_lock:
             if self._queue.closed:
                 raise QueueClosed("service has been stopped")
             if self._threads:
                 return self
+            shared_pool()
             for index in range(self.workers):
                 thread = threading.Thread(
                     target=self._worker_loop,

@@ -57,9 +57,7 @@ class TestBitwiseExecutorEquality:
         p = pair(seed=1)
         blocks = blocks_of(p)
         serial, serial_used = run_blocks(FAST_CFG, blocks, executor="serial")
-        pooled, pooled_used = run_blocks(
-            FAST_CFG, blocks, executor=backend, max_workers=2
-        )
+        pooled, pooled_used = run_blocks(FAST_CFG, blocks, executor=backend)
         assert serial_used == "serial"
         assert pooled_used in (backend, "serial")  # serial = pool fallback
         assert len(serial) == len(pooled) == len(blocks)
@@ -82,7 +80,7 @@ class TestBitwiseExecutorEquality:
         )
         assert serial.extras["executor"] == "serial"
         pooled = DivideAndConquerAligner(
-            FAST_CFG, n_parts=3, executor="process", max_workers=2
+            FAST_CFG, n_parts=3, executor="process"
         ).fit(p.source, p.target)
         assert serial.plan.shape == pooled.plan.shape
         diff = serial.plan - pooled.plan
@@ -94,9 +92,7 @@ class TestBitwiseExecutorEquality:
     def test_result_order_matches_input_order(self):
         p = pair(seed=3)
         blocks = blocks_of(p)
-        results, _ = run_blocks(
-            FAST_CFG, blocks, executor="process", max_workers=3
-        )
+        results, _ = run_blocks(FAST_CFG, blocks, executor="process")
         for (sub_s, sub_t), res in zip(blocks, results):
             assert res.plan.shape == (sub_s.n_nodes, sub_t.n_nodes)
 
@@ -125,10 +121,12 @@ class TestExecutorResolution:
         assert pickle.loads(pickle.dumps(align_pair)) is align_pair
 
     def test_sandboxed_fork_falls_back_to_serial(self, monkeypatch):
-        """Worker spawning is lazy (happens on submit); a sandbox that
-        forbids fork must degrade to the serial loop with identical
-        results, not crash the fit."""
+        """The shared pool forks its workers when it is created; a
+        sandbox that forbids fork must degrade to the serial loop with
+        identical results, not crash the fit."""
         import multiprocessing.process as mp_process
+
+        from repro.engine import pool
 
         p = pair(seed=1)
         blocks = blocks_of(p)
@@ -137,11 +135,12 @@ class TestExecutorResolution:
         def forbidden(self):
             raise PermissionError("sandbox: fork forbidden")
 
+        if pool._pool is not None:
+            pool._drop_pool(pool._pool)
         monkeypatch.setattr(mp_process.BaseProcess, "start", forbidden)
-        results, used = run_blocks(
-            FAST_CFG, blocks, executor="process", max_workers=2
-        )
+        results, used = run_blocks(FAST_CFG, blocks, executor="process")
         assert used == "serial"
+        assert pool._pool is None
         for ref, out in zip(reference, results):
             np.testing.assert_array_equal(ref.plan, out.plan)
 
@@ -155,5 +154,5 @@ class TestExecutorResolution:
         sub_s, sub_t = blocks[-1]
         blocks[-1] = (sub_s.with_features(None), sub_t)
         with pytest.raises(GraphError, match="require node features") as info:
-            run_blocks(FAST_CFG, blocks, executor="process", max_workers=2)
+            run_blocks(FAST_CFG, blocks, executor="process")
         assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
