@@ -78,7 +78,7 @@ def test_bench_partitioned_scaling(benchmark):
         pair,
     )
     parallel_out, parallel_seconds = _time_fit(
-        DivideAndConquerAligner(BENCH_CFG, n_parts=4, executor="process"),
+        DivideAndConquerAligner(BENCH_CFG, n_parts=4, executor="auto"),
         pair,
     )
     # the executor is pure scheduling: bitwise-equal results
@@ -166,7 +166,7 @@ def test_bench_partitioned_scaling(benchmark):
         return best, used
 
     blocks_serial_seconds, _ = time_blocks("serial")
-    blocks_parallel_seconds, parallel_backend = time_blocks("process")
+    blocks_parallel_seconds, parallel_backend = time_blocks("auto")
     block_speedup = blocks_serial_seconds / blocks_parallel_seconds
 
     payload = {

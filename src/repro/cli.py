@@ -8,14 +8,14 @@ Commands
     Print structural statistics of a stand-in graph.
 ``align``
     Build a semi-synthetic pair from a stand-in, run an aligner, print
-    Hit@k.  ``--backend`` selects the dense engine solver backend for
-    method ``slotalign``.
+    Hit@k.
 ``engine``
     Drive the plan → solve → evaluate pipeline explicitly: pick any
-    registered solver backend (``--backend``), inspect the registry
-    (``--list-backends``) and see per-stage wall-clock.  The ``sparse``
-    backend takes the partition flags (``--n-parts``,
-    ``--max-block-size``, ``--executor``, ``--no-boundary-repair``).
+    solver backend (``--backend``) and working precision
+    (``--precision``), list the backends (``--list-backends``) and see
+    per-stage wall-clock.  The ``sparse`` backend takes the partition
+    flags (``--n-parts``, ``--max-block-size``, ``--executor``,
+    ``--no-boundary-repair``).
     ``--partial {dummy,unbalanced}`` builds a partially-overlapping
     pair instead (``--overlap`` / ``--anchor-fraction``) and routes the
     solve through the matching partial backend, reporting Hit@k on the
@@ -30,14 +30,16 @@ Commands
     the package tree: guarded-by, pinned-path, no-densify and
     unused-name.  Exits non-zero on any finding; ``--update-pins``
     deliberately regenerates the bitwise-pin fingerprints.
-``experiments``
-    Alias for ``python -m repro.experiments`` (see that module).
 
-Unknown ``--method``/``--backend`` values fail with a message naming
-the valid choices (never a bare ``KeyError``).  Run from the command
-line, any library error (:class:`~repro.exceptions.ReproError`) ends
-the process with one ``repro: error: <message>`` line on stderr and
-exit status 2, as argparse does for a bad option.
+The paper's tables and figures run through ``python -m
+repro.experiments`` (see that module), not through this parser.
+
+Unknown ``--method``/``--backend``/``--decoder`` values, and flags that
+do not fit together, raise a :class:`~repro.exceptions.ConfigError`
+naming the valid choices (never a bare ``KeyError``).  Run from the
+command line, any library error (:class:`~repro.exceptions.ReproError`)
+ends the process with one ``repro: error: <message>`` line on stderr
+and exit status 2, as argparse does for a bad option.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from repro.engine import (
     available_decoders,
     ensure_backend_precision,
     ensure_decoder,
-    ensure_dense_backend,
 )
 from repro.eval import evaluate_plan
 from repro.exceptions import ConfigError, ReproError
@@ -75,7 +76,7 @@ from repro.scale import EXECUTORS
 
 def _slot_config(args) -> SLOTAlignConfig:
     if args.hop_mix != 1.0 and not args.cosine_hops:
-        raise SystemExit(
+        raise ConfigError(
             "--hop-mix only takes effect with --cosine-hops "
             "(lazy-walk propagation is part of the renormalised hops)"
         )
@@ -95,13 +96,7 @@ def _slot_config(args) -> SLOTAlignConfig:
 
 
 ALIGNER_FACTORIES = {
-    "slotalign": lambda args: SLOTAlign(
-        _slot_config(args),
-        backend=_resolve_backend(
-            args.backend, dense_only=True, precision=args.precision
-        ),
-        precision=args.precision,
-    ),
+    "slotalign": lambda args: SLOTAlign(_slot_config(args)),
     "knn": lambda args: KNNAligner(),
     "gwd": lambda args: GWDAligner(max_iter=args.iters),
     "fusedgw": lambda args: FusedGWAligner(max_iter=args.iters),
@@ -110,44 +105,14 @@ ALIGNER_FACTORIES = {
 
 
 def _resolve_method(name: str):
-    """The aligner factory for ``name``, or a choice-naming exit."""
+    """The aligner factory for ``name``, or a choice-naming error."""
     factory = ALIGNER_FACTORIES.get(name)
     if factory is None:
         choices = ", ".join(sorted(ALIGNER_FACTORIES))
-        raise SystemExit(
+        raise ConfigError(
             f"unknown method {name!r}; valid methods: {choices}"
         )
     return factory
-
-
-def _resolve_backend(
-    name: str, dense_only: bool = False, precision: str = "float64"
-) -> str:
-    """Validate a solver-backend name against the engine registry.
-
-    ``dense_only`` additionally rejects backends that return sparse
-    results (method ``slotalign`` consumes dense plans; the sparse
-    pipeline is reachable via ``engine --backend sparse``), and
-    ``precision`` must be one the backend solves at.  No backend
-    instance is constructed.
-    """
-    try:
-        if dense_only:
-            ensure_dense_backend(name, "this method")
-        ensure_backend_precision(name, precision)
-    except ConfigError as exc:
-        raise SystemExit(str(exc)) from exc
-    return name
-
-
-def _resolve_decoder(name: str | None) -> str | None:
-    """Validate a decoder name against the engine's decoder registry."""
-    if name is None:
-        return None
-    try:
-        return ensure_decoder(name)
-    except ConfigError as exc:
-        raise SystemExit(str(exc)) from exc
 
 
 def _add_pair_options(parser: argparse.ArgumentParser) -> None:
@@ -193,15 +158,6 @@ def _add_solver_options(parser: argparse.ArgumentParser) -> None:
         help="initialise the plan from cross-graph feature similarity "
         "(Sec. V-C; disables annealing)",
     )
-    parser.add_argument(
-        "--backend", default=DEFAULT_BACKEND,
-        help="engine solver backend (see `repro engine --list-backends`)",
-    )
-    parser.add_argument(
-        "--precision", choices=("float64", "float32"), default="float64",
-        help="solve-stage working precision; float32 steps fused-dense "
-        "in reduced precision (decisions stay float64)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,18 +190,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="dataset stand-in (omit with --list-backends/--list-decoders)",
     )
     engine.add_argument(
+        "--backend", default=DEFAULT_BACKEND,
+        help="solver backend (see --list-backends)",
+    )
+    engine.add_argument(
+        "--precision", choices=("float64", "float32"), default="float64",
+        help="solve-stage working precision; float32 steps fused-dense "
+        "in reduced precision (decisions stay float64)",
+    )
+    engine.add_argument(
         "--list-backends", action="store_true",
-        help="list the registered solver backends and exit",
+        help="list the solver backends and exit",
     )
     engine.add_argument(
         "--decoder", default=None,
-        help="decode the solved plan with a registered decoder "
+        help="decode the solved plan with a decoder "
         "(row-argmax / mutual-argmax / hungarian / mea); default: rank "
         "the plan posterior directly",
     )
     engine.add_argument(
         "--list-decoders", action="store_true",
-        help="list the registered plan decoders and exit",
+        help="list the plan decoders and exit",
     )
     engine.add_argument(
         "--partial", choices=("dummy", "unbalanced"), default=None,
@@ -352,16 +317,6 @@ def _build_pair(args):
 
 
 def _run_align(args) -> int:
-    if args.method != "slotalign" and args.backend != DEFAULT_BACKEND:
-        raise SystemExit(
-            "--backend only applies to the engine-routed method "
-            f"slotalign; method {args.method!r} ignores it"
-        )
-    if args.precision != "float64" and args.method != "slotalign":
-        raise SystemExit(
-            "--precision float32 only applies to the dense engine path "
-            f"(method slotalign); method {args.method!r} ignores it"
-        )
     pair = _build_pair(args)
     aligner = _resolve_method(args.method)(args)
     result = aligner.fit(pair.source, pair.target)
@@ -382,12 +337,12 @@ def _run_engine_partial(args) -> int:
     from repro.eval import unmatchable_detection
 
     if args.backend != DEFAULT_BACKEND:
-        raise SystemExit(
+        raise ConfigError(
             "--partial selects its own backend (partial-dummy / "
             "partial-unbalanced); drop --backend"
         )
     if args.precision != "float64":
-        raise SystemExit(
+        raise ConfigError(
             "the partial backends have no float32 variant; drop --precision"
         )
     graph = load_graph_dataset(args.dataset, scale=args.scale)
@@ -414,9 +369,8 @@ def _run_engine_partial(args) -> int:
     )
     backend = f"partial-{args.partial}"
     anchors = pair.anchors if pair.anchors.size else None
-    engine = AlignmentEngine(
-        config, backend=backend, decoder=_resolve_decoder(args.decoder)
-    )
+    decoder = ensure_decoder(args.decoder) if args.decoder else None
+    engine = AlignmentEngine(config, backend=backend, decoder=decoder)
     run = engine.run(
         pair.source, pair.target, pair.ground_truth, ks=(1, 5, 10),
         anchors=anchors,
@@ -456,14 +410,15 @@ def _run_engine(args) -> int:
             print(f"{name:16s} {description}")
         return 0
     if args.dataset is None:
-        raise SystemExit(
+        raise ConfigError(
             "engine: a dataset is required unless --list-backends/"
             "--list-decoders"
         )
     if args.partial:
         return _run_engine_partial(args)
-    backend = _resolve_backend(args.backend, precision=args.precision)
-    decoder = _resolve_decoder(args.decoder)
+    backend = args.backend
+    ensure_backend_precision(backend, args.precision)
+    decoder = ensure_decoder(args.decoder) if args.decoder else None
     pair = _build_pair(args)
     backend_options = {}
     if backend == "sparse":

@@ -5,11 +5,11 @@ Every alignment in the library decomposes into four explicit stages:
 1. **plan** (:mod:`repro.engine.planning`) — multi-view base
    construction behind a content-keyed cache, the marginals and the
    initial coupling;
-2. **solve** (:mod:`repro.engine.backends`) — a registry of four
+2. **solve** (:mod:`repro.engine.backends`) — a table of four
    solver backends: the ``fused-dense`` restart portfolio (float64
    reference or float32), the two ``partial-*`` portfolios, and the
    ``sparse`` divide-and-conquer pipeline;
-3. **decode** (:mod:`repro.engine.decode`) — a registry of plan
+3. **decode** (:mod:`repro.engine.decode`) — a table of plan
    decoders (``row-argmax`` / ``mutual-argmax`` / ``hungarian`` /
    ``mea``) turning the transport-plan posterior into a discrete
    :class:`DecodedMatching`;
@@ -41,7 +41,6 @@ from repro.engine.backends import (
     ensure_dense_backend,
     get_backend,
     partial_backends,
-    register_backend,
 )
 from repro.engine.coalesce import coalescible, solve_coalesced
 from repro.engine.decode import (
@@ -51,7 +50,6 @@ from repro.engine.decode import (
     decode_plan,
     ensure_decoder,
     get_decoder,
-    register_decoder,
 )
 from repro.engine.evaluate import evaluate_alignment, extract_plan
 from repro.engine.pipeline import AlignmentEngine, EngineRun, align_pair
@@ -98,8 +96,6 @@ __all__ = [
     "graph_digest",
     "partial_backends",
     "prepare_problem",
-    "register_backend",
-    "register_decoder",
     "shared_plan_cache",
     "view_spec",
 ]

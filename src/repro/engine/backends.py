@@ -1,4 +1,4 @@
-"""Stage 2 of the alignment engine: **solve** — the backend registry.
+"""Stage 2 of the alignment engine: **solve** — the backend table.
 
 A solver backend consumes a :class:`~repro.engine.planning.PreparedProblem`
 and returns a result object carrying a plan:
@@ -16,16 +16,18 @@ and returns a result object carrying a plan:
   engine), sparse stitching and boundary repair.  Returns a
   :class:`~repro.scale.aligner.PartitionedAlignment` whose plan is CSR.
 
-Backends register under a name via :func:`register_backend`; unknown
-names fail with an error that lists the valid choices (never a bare
-``KeyError``), so CLI/runner validation can surface the registry
-verbatim.  A backend class lists the working precisions it solves at
-in ``precisions`` (float64 only when absent); asking a backend for a
-precision it lacks fails the same choice-naming way.
+The four classes sit in one table keyed by their ``name``; each
+carries a one-line ``description``.  Unknown names fail with an error
+that lists the valid choices (never a bare ``KeyError``), so CLI/runner
+validation can surface the table verbatim.  A backend class lists the
+working precisions it solves at in ``precisions`` (float64 only when
+absent); asking a backend for a precision it lacks fails the same
+choice-naming way.
 """
 
 from __future__ import annotations
 
+from repro.core.config import SLOTAlignConfig
 from repro.engine.mixed import _MixedLockstep
 from repro.engine.planning import PreparedProblem
 from repro.engine.precision import (
@@ -44,34 +46,23 @@ from repro.engine.restarts import (
 from repro.exceptions import ConfigError
 from repro.utils.timer import Timer
 
-_REGISTRY: dict[str, tuple[type, str]] = {}
-
 DEFAULT_BACKEND = "fused-dense"
 
 
-def register_backend(name: str, backend_cls: type, description: str) -> None:
-    """Register a solver backend class under ``name``.
-
-    Re-registering a name replaces the previous entry (lets tests and
-    downstream code substitute instrumented backends).
-    """
-    _REGISTRY[name] = (backend_cls, description)
-
-
 def available_backends() -> dict[str, str]:
-    """``{name: one-line description}`` of every registered backend."""
-    return {name: entry[1] for name, entry in sorted(_REGISTRY.items())}
+    """``{name: one-line description}`` of every backend."""
+    return {name: cls.description for name, cls in sorted(_BACKENDS.items())}
 
 
-def _lookup(name: str) -> tuple[type, str]:
-    """Registry entry for ``name``, or a choice-naming ConfigError."""
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        choices = ", ".join(sorted(_REGISTRY))
+def _lookup(name: str) -> type:
+    """The backend class named ``name``, or a choice-naming ConfigError."""
+    backend_cls = _BACKENDS.get(name)
+    if backend_cls is None:
+        choices = ", ".join(sorted(_BACKENDS))
         raise ConfigError(
             f"unknown solver backend {name!r}; valid backends: {choices}"
         )
-    return entry
+    return backend_cls
 
 
 def _precisions(backend_cls: type) -> tuple[str, ...]:
@@ -87,9 +78,9 @@ def ensure_backend_precision(name: str, precision: str | SolverPrecision) -> str
     it, so the engine, the service and the CLI all surface one message.
     """
     resolved = ensure_precision(precision).name
-    if resolved not in _precisions(_lookup(name)[0]):
+    if resolved not in _precisions(_lookup(name)):
         choices = ", ".join(
-            other for other, (cls, _) in sorted(_REGISTRY.items())
+            other for other, cls in sorted(_BACKENDS.items())
             if resolved in _precisions(cls)
         )
         raise ConfigError(
@@ -102,7 +93,7 @@ def ensure_backend_precision(name: str, precision: str | SolverPrecision) -> str
 def get_backend(
     name: str, precision: str | SolverPrecision = DEFAULT_PRECISION, **options
 ):
-    """Instantiate the backend registered under ``name``.
+    """Instantiate the backend named ``name``.
 
     Raises :class:`ConfigError` naming the valid choices when the
     backend is unknown, or lacks ``precision`` — callers (CLI,
@@ -110,7 +101,7 @@ def get_backend(
     of a bare ``KeyError``.  A non-default precision is handed to the
     backend as its ``precision`` option.
     """
-    backend_cls, _ = _lookup(name)
+    backend_cls = _lookup(name)
     resolved = ensure_backend_precision(name, precision)
     if resolved != DEFAULT_PRECISION:
         options["precision"] = resolved
@@ -124,12 +115,12 @@ def backend_kind(name: str) -> str:
     :func:`get_backend`; no backend instance is constructed, so this
     is the cheap way to validate a name.
     """
-    return getattr(_lookup(name)[0], "kind", "dense")
+    return getattr(_lookup(name), "kind", "dense")
 
 
 def dense_backends() -> list[str]:
-    """Names of the registered backends returning dense results."""
-    return [name for name in sorted(_REGISTRY) if backend_kind(name) == "dense"]
+    """Names of the backends returning dense results."""
+    return [name for name in sorted(_BACKENDS) if backend_kind(name) == "dense"]
 
 
 def ensure_dense_backend(name: str, context: str) -> str:
@@ -151,11 +142,22 @@ def ensure_dense_backend(name: str, context: str) -> str:
 
 
 def partial_backends() -> list[str]:
-    """Names of the registered partial-alignment backends."""
+    """Names of the partial-alignment backends."""
     return [
-        name for name in sorted(_REGISTRY)
-        if getattr(_lookup(name)[0], "partial", False)
+        name for name, cls in sorted(_BACKENDS.items())
+        if getattr(cls, "partial", False)
     ]
+
+
+def ensure_balanced_config(config: SLOTAlignConfig, backend_name: str) -> None:
+    """Refuse a ``partial_mass < 1`` config on a balanced backend, with
+    a :class:`ConfigError` naming the partial backends."""
+    if config.partial_mass != 1.0:
+        raise ConfigError(
+            f"config has partial_mass={config.partial_mass} but "
+            f"backend {backend_name!r} solves balanced transport only; "
+            f"use a partial backend: {', '.join(partial_backends())}"
+        )
 
 
 def ensure_classical_problem(problem: PreparedProblem, backend_name: str) -> None:
@@ -166,18 +168,12 @@ def ensure_classical_problem(problem: PreparedProblem, backend_name: str) -> Non
     seeds on the prepared problem mean the caller asked for partial
     semantics, which only the ``partial-*`` backends implement.
     """
-    choices = ", ".join(partial_backends()) or "(none registered)"
-    if problem.config.partial_mass != 1.0:
-        raise ConfigError(
-            f"config has partial_mass={problem.config.partial_mass} but "
-            f"backend {backend_name!r} solves balanced transport only; "
-            f"use a partial backend: {choices}"
-        )
+    ensure_balanced_config(problem.config, backend_name)
     if problem.anchors is not None and problem.anchors.size:
         raise ConfigError(
             f"the prepared problem carries anchor seeds but backend "
             f"{backend_name!r} cannot honour them; use a partial "
-            f"backend: {choices}"
+            f"backend: {', '.join(partial_backends())}"
         )
 
 
@@ -196,6 +192,10 @@ class FusedDenseBackend:
     """
 
     name = "fused-dense"
+    description = (
+        "restart portfolio over the fused dense contraction engine; "
+        "float64 reference, or float32 via precision"
+    )
     kind = "dense"
     precisions = (FLOAT64.name, FLOAT32.name)
 
@@ -239,6 +239,10 @@ class SparsePartitionBackend:
     """
 
     name = "sparse"
+    description = (
+        "divide-and-conquer partition pipeline with sparse stitching and "
+        "boundary repair (CSR plans)"
+    )
     kind = "sparse"
 
     def __init__(self, executor: str = "auto", **options):
@@ -258,38 +262,24 @@ class SparsePartitionBackend:
         return aligner.fit(problem.source, problem.target)
 
 
-def _register_builtin_backends() -> None:
-    # imported here so the registry owns the import-order: partial.py
-    # imports this module for FusedDenseBackend
+def _builtin_backends() -> dict[str, type]:
+    # imported here, once the classes above exist: partial.py imports
+    # this module for FusedDenseBackend
     from repro.engine.partial import (
         PartialDummyBackend,
         PartialUnbalancedBackend,
     )
 
-    register_backend(
-        FusedDenseBackend.name,
-        FusedDenseBackend,
-        "restart portfolio over the fused dense contraction engine; "
-        "float64 reference, or float32 via precision",
-    )
-    register_backend(
-        SparsePartitionBackend.name,
-        SparsePartitionBackend,
-        "divide-and-conquer partition pipeline with sparse stitching and "
-        "boundary repair (CSR plans)",
-    )
-    register_backend(
-        PartialDummyBackend.name,
-        PartialDummyBackend,
-        "partial-overlap portfolio via dummy-mass rows/columns absorbing "
-        "the unmatched slack (reduces to fused-dense at mass 1)",
-    )
-    register_backend(
-        PartialUnbalancedBackend.name,
-        PartialUnbalancedBackend,
-        "partial-overlap portfolio with a KL-relaxed (unbalanced) "
-        "Sinkhorn pi-update; mass conservation is soft",
-    )
+    return {
+        cls.name: cls
+        for cls in (
+            FusedDenseBackend,
+            SparsePartitionBackend,
+            PartialDummyBackend,
+            PartialUnbalancedBackend,
+        )
+    }
 
 
-_register_builtin_backends()
+#: ``{name: backend class}``: the four solver backends
+_BACKENDS = _builtin_backends()

@@ -1,4 +1,4 @@
-"""Stage 3 of the alignment engine: **decode** — the decoder registry.
+"""Stage 3 of the alignment engine: **decode** — the decoder table.
 
 The transport plan a solver backend returns is a *posterior* over node
 correspondences, not a matching; turning it into one is a stage of its
@@ -14,7 +14,7 @@ mass (the partial backends' dummy/shed mass is a *decoder* concern —
 any decoder must behave sensibly on a non-square, mass-deficient
 plan).
 
-Registered decoders:
+The four decoders, each with a one-line ``description``:
 
 * ``row-argmax`` — per-row argmax, the pre-refactor evaluate
   behaviour.  Its candidate ranking **is** the posterior's own
@@ -44,7 +44,7 @@ Registered decoders:
 
 Unknown decoder names fail with a :class:`ConfigError` naming the
 valid choices (never a bare ``KeyError``), mirroring the solver
-backend registry.
+backend table.
 """
 
 from __future__ import annotations
@@ -71,37 +71,28 @@ DEFAULT_DECODER = "row-argmax"
 #: not unmatch anything.
 UNMATCHABLE_THRESHOLD = 0.5
 
-_REGISTRY: dict[str, tuple[type, str]] = {}
-
-
-def register_decoder(name: str, decoder_cls: type, description: str) -> None:
-    """Register a decoder class under ``name`` (re-registering replaces)."""
-    _REGISTRY[name] = (decoder_cls, description)
-
-
 def available_decoders() -> dict[str, str]:
-    """``{name: one-line description}`` of every registered decoder."""
-    return {name: entry[1] for name, entry in sorted(_REGISTRY.items())}
+    """``{name: one-line description}`` of every decoder."""
+    return {name: cls.description for name, cls in sorted(_DECODERS.items())}
 
 
-def _lookup(name: str) -> tuple[type, str]:
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        choices = ", ".join(sorted(_REGISTRY))
+def _lookup(name: str) -> type:
+    decoder_cls = _DECODERS.get(name)
+    if decoder_cls is None:
+        choices = ", ".join(sorted(_DECODERS))
         raise ConfigError(
             f"unknown decoder {name!r}; valid decoders: {choices}"
         )
-    return entry
+    return decoder_cls
 
 
 def get_decoder(name: str):
-    """Instantiate the decoder registered under ``name``.
+    """Instantiate the decoder named ``name``.
 
     Raises :class:`ConfigError` naming the valid choices on unknown
-    names, so the CLI/runner/service surface the registry verbatim.
+    names, so the CLI/runner/service surface the table verbatim.
     """
-    decoder_cls, _ = _lookup(name)
-    return decoder_cls()
+    return _lookup(name)()
 
 
 def ensure_decoder(name: str) -> str:
@@ -306,6 +297,10 @@ class RowArgmaxDecoder(Decoder):
     """Top-1 retrieval per source row — the pre-refactor behaviour."""
 
     name = "row-argmax"
+    description = (
+        "per-row argmax (top-1 retrieval); candidate ranking is the "
+        "posterior's own — bitwise-equal to the pre-decode evaluate path"
+    )
     posterior_ranked = True
 
     def _decode(self, plan) -> np.ndarray:  #: pinned
@@ -322,6 +317,10 @@ class MutualArgmaxDecoder(Decoder):
     """Match only where row- and column-argmax agree."""
 
     name = "mutual-argmax"
+    description = (
+        "row/column argmax agreement; precision-oriented subset of "
+        "row-argmax (non-mutual rows stay unmatched)"
+    )
 
     def _decode(self, plan) -> np.ndarray:  #: pinned
         row_best = _row_argmax(plan)
@@ -362,6 +361,10 @@ class HungarianDecoder(Decoder):
     """
 
     name = "hungarian"
+    description = (
+        "exact maximum-weight one-to-one assignment (Eq. 2) with "
+        "per-row shed columns on partial/non-square plans"
+    )
 
     def _decode(self, plan) -> np.ndarray:  #: pinned
         n, m = plan.shape
@@ -423,6 +426,10 @@ class MEADecoder(Decoder):
     """
 
     name = "mea"
+    description = (
+        "maximum-expected-accuracy frontier sweep: directed-posterior "
+        "products vs per-node unmatch hypotheses, one-to-one"
+    )
 
     def _decode(self, plan) -> np.ndarray:  #: pinned
         n, m = plan.shape
@@ -483,8 +490,8 @@ def decode_plan(result, decoder=DEFAULT_DECODER) -> DecodedMatching:
 
     ``result`` may be an :class:`~repro.core.result.AlignmentResult`,
     a :class:`~repro.scale.aligner.PartitionedAlignment`, or a raw
-    dense/CSR plan; ``decoder`` a registered name or a
-    :class:`Decoder` instance.
+    dense/CSR plan; ``decoder`` a decoder name or a :class:`Decoder`
+    instance.
     """
     # lazy import: evaluate.py imports this module
     from repro.engine.evaluate import extract_plan
@@ -494,31 +501,8 @@ def decode_plan(result, decoder=DEFAULT_DECODER) -> DecodedMatching:
     return get_decoder(decoder).decode(extract_plan(result))
 
 
-def _register_builtin_decoders() -> None:
-    register_decoder(
-        RowArgmaxDecoder.name,
-        RowArgmaxDecoder,
-        "per-row argmax (top-1 retrieval); candidate ranking is the "
-        "posterior's own — bitwise-equal to the pre-decode evaluate path",
-    )
-    register_decoder(
-        MutualArgmaxDecoder.name,
-        MutualArgmaxDecoder,
-        "row/column argmax agreement; precision-oriented subset of "
-        "row-argmax (non-mutual rows stay unmatched)",
-    )
-    register_decoder(
-        HungarianDecoder.name,
-        HungarianDecoder,
-        "exact maximum-weight one-to-one assignment (Eq. 2) with "
-        "per-row shed columns on partial/non-square plans",
-    )
-    register_decoder(
-        MEADecoder.name,
-        MEADecoder,
-        "maximum-expected-accuracy frontier sweep: directed-posterior "
-        "products vs per-node unmatch hypotheses, one-to-one",
-    )
-
-
-_register_builtin_decoders()
+#: ``{name: decoder class}``: the four decoders
+_DECODERS = {
+    cls.name: cls
+    for cls in (RowArgmaxDecoder, MutualArgmaxDecoder, HungarianDecoder, MEADecoder)
+}

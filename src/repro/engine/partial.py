@@ -181,6 +181,10 @@ class PartialDummyBackend:
     """
 
     name = "partial-dummy"
+    description = (
+        "partial-overlap portfolio via dummy-mass rows/columns absorbing "
+        "the unmatched slack (reduces to fused-dense at mass 1)"
+    )
     kind = "dense"
     partial = True
 
@@ -295,6 +299,10 @@ class PartialUnbalancedBackend:
     """
 
     name = "partial-unbalanced"
+    description = (
+        "partial-overlap portfolio with a KL-relaxed (unbalanced) "
+        "Sinkhorn pi-update; mass conservation is soft"
+    )
     kind = "dense"
     partial = True
 

@@ -161,13 +161,10 @@ class AlignmentEngine:
         return decode_plan(result, chosen if chosen is not None else DEFAULT_DECODER)
 
     def evaluate(
-        self, result, ground_truth: np.ndarray, ks=(1, 5, 10, 30),
-        with_runtime: bool = False,
+        self, result, ground_truth: np.ndarray, ks=(1, 5, 10, 30)
     ) -> dict[str, float]:
         """Stage 4: metrics from a plan, result, or decoded matching."""
-        return evaluate_alignment(
-            result, ground_truth, ks=ks, with_runtime=with_runtime
-        )
+        return evaluate_alignment(result, ground_truth, ks=ks)
 
     # ------------------------------------------------------------------
     def align(
@@ -176,20 +173,17 @@ class AlignmentEngine:
         target: AttributedGraph,
         init_plan: np.ndarray | None = None,
         bases=None,
-        anchors: np.ndarray | None = None,
     ):
         """plan + solve in one call (the ``fit``-shaped entry point)."""
-        problem = self.plan(
-            source, target, init_plan=init_plan, bases=bases, anchors=anchors
+        return self.solve(
+            self.plan(source, target, init_plan=init_plan, bases=bases)
         )
-        return self.solve(problem)
 
     def run(
         self,
         source: AttributedGraph,
         target: AttributedGraph,
         ground_truth: np.ndarray | None = None,
-        init_plan: np.ndarray | None = None,
         ks=(1, 5, 10, 30),
         anchors: np.ndarray | None = None,
     ) -> EngineRun:
@@ -201,7 +195,7 @@ class AlignmentEngine:
         the pre-decode-stage pipeline, bit for bit.
         """
         t0 = time.perf_counter()
-        problem = self.plan(source, target, init_plan=init_plan, anchors=anchors)
+        problem = self.plan(source, target, anchors=anchors)
         t1 = time.perf_counter()
         result = self.solve(problem)
         t2 = time.perf_counter()

@@ -21,12 +21,8 @@ from repro.scale.diagnostics import (
     hit1_mask,
     inject_misassignment,
 )
-from repro.scale.executor import (
-    EXECUTORS,
-    available_cpus,
-    resolve_executor,
-    run_blocks,
-)
+from repro.engine.pool import available_cpus
+from repro.scale.executor import EXECUTORS, run_blocks
 from repro.scale.partition import (
     assign_target,
     assignment_scores,
@@ -48,7 +44,6 @@ __all__ = [
     "inject_misassignment",
     "EXECUTORS",
     "available_cpus",
-    "resolve_executor",
     "run_blocks",
     "assign_target",
     "assignment_scores",

@@ -133,9 +133,8 @@ class DivideAndConquerAligner:
         instead of deriving the count from ``max_block_size``; the
         parts must hold at least :data:`MIN_BLOCK_SIZE` nodes.
     executor:
-        ``"serial"`` | ``"process"`` | ``"auto"``.  Block results are
-        bitwise-identical across backends; see
-        :mod:`repro.scale.executor`.
+        ``"serial"`` | ``"auto"``.  Block results are bitwise-identical
+        across both; see :mod:`repro.scale.executor`.
     boundary_repair:
         Run the anchor-based boundary-repair pass on the stitched plan
         (default on; it is pure post-processing and recovers cross-part

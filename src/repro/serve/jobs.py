@@ -26,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.config import SLOTAlignConfig
 from repro.graphs.graph import AttributedGraph
 
 
@@ -47,7 +46,9 @@ _JOB_IDS = itertools.count(1)
 class Job:
     """One alignment request and its lifecycle bookkeeping.
 
-    ``result`` is an :class:`repro.engine.EngineRun` once the job is
+    A job carries only its pair, ``ground_truth``, ``tag`` and the
+    solve-stage working ``precision`` (``"float64"`` / ``"float32"``);
+    the config and decoder are the service's.  ``result`` is an :class:`repro.engine.EngineRun` once the job is
     ``DONE`` (plan + metrics + stage timings); ``error`` carries the
     failure or rejection reason otherwise.  Timestamps are
     ``time.perf_counter`` readings, so latencies are exact per-process
@@ -56,17 +57,10 @@ class Job:
 
     source: AttributedGraph
     target: AttributedGraph
-    config: SLOTAlignConfig
     ground_truth: np.ndarray | None = None
-    init_plan: np.ndarray | None = None
     tag: str | None = None
-    # decoder applied to this job's solved plan, or None to score the
-    # plan posterior directly; a per-job *post-solve* concern, so it is
-    # deliberately absent from the coalescing compatibility key
-    decoder: str | None = None
-    # solve-stage working precision ("float64" / "float32"); part of
-    # the coalescing compatibility key — a float32 job must never share
-    # a lockstep batch with a float64 job
+    # part of the coalescing compatibility key: a float32 job must
+    # never share a lockstep batch with a float64 job
     precision: str = "float64"
     job_id: int = field(default_factory=lambda: next(_JOB_IDS))
     state: JobState = JobState.QUEUED

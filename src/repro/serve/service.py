@@ -4,18 +4,18 @@
 **alignment-as-a-service** endpoint: clients :meth:`~AlignmentService.submit`
 graph pairs and get back :class:`~repro.serve.jobs.Job` handles they
 can wait on, while a pool of worker threads drains a FIFO
-:class:`~repro.serve.jobs.JobQueue`.  Three engine-level properties do
-the heavy lifting:
+:class:`~repro.serve.jobs.JobQueue`.  Every job is solved with the
+``fused-dense`` backend under the service's one config and decoder.
+Three engine-level properties do the heavy lifting:
 
 * **shared plan cache** — all jobs plan through one
   :class:`~repro.engine.planning.PlanCache` (the process-wide shared
   cache by default), so repeated or content-equal pairs pay kernel
   construction once, across jobs and across workers (the cache's
   single-flight discipline absorbs concurrent misses);
-* **batch coalescing** — on a ``fused-dense`` service, a worker that
-  dequeues a job also drains the queued jobs *compatible* with it
-  (identical config, precision and plan shape) and solves them as one
-  stacked ``(B·R, n, m)`` lockstep batch via
+* **batch coalescing** — a worker that dequeues a job also drains the
+  queued jobs *compatible* with it (same precision and plan shape) and
+  solves them as one stacked ``(B·R, n, m)`` lockstep batch via
   :func:`~repro.engine.coalesce.solve_coalesced`.  Coalescing is pure
   scheduling: every pair's plan stays bit-for-bit identical to a
   direct :class:`~repro.engine.AlignmentEngine` run;
@@ -38,15 +38,9 @@ import time
 import numpy as np
 
 from repro.core.config import SLOTAlignConfig
-from repro.engine.backends import (
-    DEFAULT_BACKEND,
-    ensure_backend_precision,
-    ensure_classical_problem,
-    get_backend,
-    partial_backends,
-)
+from repro.engine.backends import FusedDenseBackend, ensure_balanced_config
 from repro.engine.coalesce import solve_coalesced
-from repro.engine.precision import DEFAULT_PRECISION
+from repro.engine.precision import DEFAULT_PRECISION, ensure_precision
 from repro.engine.decode import ensure_decoder, get_decoder
 from repro.engine.evaluate import evaluate_alignment
 from repro.engine.pipeline import EngineRun
@@ -74,18 +68,17 @@ def _percentile(values: list[float], q: float) -> float | None:
 class AlignmentService:
     """Long-lived alignment job server over the unified engine.
 
+    Every job is solved with the ``fused-dense`` backend, under the
+    service's ``config`` and ``decoder``, from the default start; a job
+    chooses only its precision.
+
     Parameters
     ----------
     config:
-        Default :class:`SLOTAlignConfig` for jobs submitted without an
-        explicit one.
-    backend:
-        Solver backend for solo (non-coalesced) solves.  A coalesced
-        batch solves balanced transport exactly as ``fused-dense``
-        does, so only a ``fused-dense`` service coalesces; any other
-        backend degrades to solo solves.  A service over a balanced
-        backend fails a job whose config asks for partial transport in
-        its plan stage, alone.
+        The :class:`SLOTAlignConfig` every job is solved under.  A
+        config asking for partial transport (``partial_mass != 1``) is
+        refused here with a :class:`ConfigError` naming the partial
+        backends: the service solves balanced transport only.
     cache:
         :class:`PlanCache` shared by every job.  Defaults to the
         process-wide shared cache; pass ``None`` to disable caching.
@@ -98,47 +91,34 @@ class AlignmentService:
         Largest number of jobs one coalesced solve may absorb;
         ``max_batch=1`` turns coalescing off.
     decoder:
-        Default decoder applied to every solved plan (jobs may
-        override per-submit).  ``None`` skips the decode stage and
-        scores the plan posterior directly — the pre-decode service,
-        bit for bit.  Decoding is per-job and post-solve, so it never
-        enters the coalescing compatibility key: jobs wanting
-        different decoders still share one stacked solve.
-    precision:
-        Default solve-stage working precision for jobs submitted
-        without an explicit one (``"float64"`` / ``"float32"``).
-        Unlike ``decoder``, precision changes the solve itself, so it
-        **is** part of the coalescing compatibility key: a float32 job
-        never shares a lockstep batch with a float64 job.
+        Decoder applied to every solved plan.  ``None`` skips the
+        decode stage and scores the plan posterior directly — the
+        pre-decode service, bit for bit.  Decoding is post-solve, so
+        every job of a coalesced batch is decoded on its own.
     """
 
     def __init__(
         self,
         config: SLOTAlignConfig | None = None,
-        backend: str = DEFAULT_BACKEND,
         cache=_SHARED,
         policy: AdmissionPolicy | None = None,
         workers: int = 1,
         max_batch: int = 8,
         decoder: str | None = None,
-        precision: str = DEFAULT_PRECISION,
     ):
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         if max_batch < 1:
             raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
         self.config = config or SLOTAlignConfig()
-        self.backend = backend
+        # fail a partial config at construction, not in a worker thread
+        # mid-solve
+        ensure_balanced_config(self.config, FusedDenseBackend.name)
         self.cache: PlanCache | None = (
             shared_plan_cache() if cache is _SHARED else cache
         )
         self.policy = policy or AdmissionPolicy()
         self.workers = workers
-        # fail a bad backend/precision combination at construction, not
-        # in a worker thread mid-solve
-        self.precision = ensure_backend_precision(backend, precision)
-        self.coalesce = backend == DEFAULT_BACKEND and max_batch > 1
-        self._classical = backend not in partial_backends()
         self.max_batch = max_batch
         self.decoder = ensure_decoder(decoder) if decoder is not None else None
         self._queue = JobQueue()
@@ -207,42 +187,32 @@ class AlignmentService:
         self,
         source: AttributedGraph,
         target: AttributedGraph,
-        config: SLOTAlignConfig | None = None,
         ground_truth: np.ndarray | None = None,
-        init_plan: np.ndarray | None = None,
         tag: str | None = None,
-        decoder: str | None = None,
-        precision: str | None = None,
+        precision: str = DEFAULT_PRECISION,
     ) -> Job:
         """Enqueue one alignment request and return its job handle.
 
         Admission control runs here: an over-budget request returns a
         job already in state ``REJECTED`` (with ``error`` naming the
-        violated budget) and never enters the queue.  ``decoder`` and
-        ``precision`` override the service defaults for this job only;
-        unknown names (or a precision the backend lacks) fail *here*,
-        synchronously, with the registry's choice-naming error.  A job
-        with ``ground_truth`` reports Hits@{1, 5, 10, 30} and MRR, the
-        evaluate stage's default cutoffs.
+        violated budget) and never enters the queue.  ``precision``
+        (``"float64"`` or ``"float32"``) is this job's solve-stage
+        working precision; an unknown name fails *here*, synchronously,
+        with the choice-naming error.  A job with ``ground_truth``
+        reports Hits@{1, 5, 10, 30} and MRR, the evaluate stage's
+        default cutoffs.
         """
-        if precision is not None:
-            precision = ensure_backend_precision(self.backend, precision)
         job = Job(
             source=source,
             target=target,
-            config=config or self.config,
             ground_truth=ground_truth,
-            init_plan=init_plan,
             tag=tag,
-            decoder=(
-                ensure_decoder(decoder) if decoder is not None else self.decoder
-            ),
-            precision=precision if precision is not None else self.precision,
+            precision=ensure_precision(precision).name,
         )
         with self._stats_lock:
             self._counters["submitted"] += 1
         reason = self.policy.review(
-            source.n_nodes, target.n_nodes, job.config, len(self._queue)
+            source.n_nodes, target.n_nodes, self.config, len(self._queue)
         )
         if reason is not None:
             job.mark_rejected(reason)
@@ -274,51 +244,29 @@ class AlignmentService:
 
     # ------------------------------------------------------------------
     # worker side
-    def _compatible(self, head: Job, other: Job) -> bool:
-        return (
-            other.config == head.config
-            and other.precision == head.precision
-            and other.source.n_nodes == head.source.n_nodes
-            and other.target.n_nodes == head.target.n_nodes
-        )
-
     def _worker_loop(self) -> None:
         while True:
             head = self._queue.get()
             if head is None:
                 return  # queue closed and drained
-            batch = [head]
-            if self.coalesce:
-                batch += self._queue.take_matching(
-                    lambda job: self._compatible(head, job),
-                    self.max_batch - 1,
-                )
+            batch = [head] + self._queue.take_matching(
+                lambda job: _compatible(head, job), self.max_batch - 1
+            )
             self._run_batch(batch)
 
     def _run_batch(self, batch: list[Job]) -> None:
-        # plan stage: per-job, so a malformed request (bad init plan,
-        # missing features) fails that job alone and the survivors
-        # still solve
+        # plan stage: per-job, so a malformed request (missing features,
+        # an empty graph) fails that job alone and the survivors still
+        # solve
         planned: list[tuple[Job, object, float]] = []
         for job in batch:
             job.mark_running()
             t0 = time.perf_counter()
             try:
                 problem = prepare_problem(
-                    job.source,
-                    job.target,
-                    job.config,
-                    init_plan=job.init_plan,
-                    cache=self.cache,
+                    job.source, job.target, self.config, cache=self.cache
                 )
-                if self._classical:
-                    # a partial job must fail alone, never be solved
-                    # as balanced transport inside a coalesced batch
-                    ensure_classical_problem(problem, self.backend)
                 problem.bases  # force basis construction through the cache
-                # validate the initial coupling now: a malformed init
-                # plan must fail this job alone, not the whole batch
-                problem.initial_coupling(*problem.marginals())
             except Exception as exc:  # noqa: BLE001 - job isolation
                 self._finish_failed(job, f"plan failed: {exc!r}")
                 continue
@@ -339,9 +287,8 @@ class AlignmentService:
                     self._counters["coalesced_batches"] += 1
                     self._counters["coalesced_pairs"] += len(planned)
             else:
-                [(job, problem, _)] = planned
-                backend = get_backend(self.backend, precision=batch_precision)
-                results = [backend.solve(problem)]
+                [(_, problem, _)] = planned
+                results = [FusedDenseBackend(batch_precision).solve(problem)]
                 with self._stats_lock:
                     self._counters["solo_pairs"] += 1
         except Exception as exc:  # noqa: BLE001 - job isolation
@@ -354,11 +301,10 @@ class AlignmentService:
             t0 = time.perf_counter()
             decoded = None
             try:
-                # decode is per-job (jobs in one coalesced batch may
-                # use different decoders) and post-solve, so a bad
-                # plan shape fails this job alone
-                if job.decoder is not None:
-                    decoded = get_decoder(job.decoder).decode(result.plan)
+                # decode is per-job and post-solve, so a bad plan shape
+                # fails this job alone
+                if self.decoder is not None:
+                    decoded = get_decoder(self.decoder).decode(result.plan)
             except Exception as exc:  # noqa: BLE001 - job isolation
                 self._finish_failed(job, f"decode failed: {exc!r}")
                 continue
@@ -398,6 +344,17 @@ class AlignmentService:
         job.mark_failed(error)
         with self._stats_lock:
             self._counters["failed"] += 1
+
+
+def _compatible(head: Job, other: Job) -> bool:
+    """Whether ``other`` may join ``head``'s coalesced batch: one
+    precision and one plan shape (every job shares the service's
+    config)."""
+    return (
+        other.precision == head.precision
+        and other.source.n_nodes == head.source.n_nodes
+        and other.target.n_nodes == head.target.n_nodes
+    )
 
 
 def wait_all(jobs: list[Job], timeout: float | None = None) -> bool:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exceptions import ConfigError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -88,6 +89,11 @@ class TestEntryPoint:
             ),
             (["align", "cora", "--tau", "nan"], "structure_lr must be finite, got nan"),
             (
+                ["engine", "cora", "--backend", "tpu"],
+                "unknown solver backend 'tpu'; valid backends: fused-dense, "
+                "partial-dummy, partial-unbalanced, sparse",
+            ),
+            (
                 ["serve", "cora", "--scale", "0.02", "--workers", "0"],
                 "workers must be >= 1, got 0",
             ),
@@ -114,7 +120,7 @@ class TestEntryPoint:
         ],
         ids=[
             "ConfigError", "DatasetError", "GraphError", "non-finite",
-            "serve-workers", "serve-max-batch", "serve-n-jobs",
+            "engine-backend", "serve-workers", "serve-max-batch", "serve-n-jobs",
             "serve-n-distinct", "serve-rejected-job",
         ],
     )
@@ -141,7 +147,7 @@ class TestEngineCommand:
         ]
 
     def test_engine_requires_dataset_without_list(self):
-        with pytest.raises(SystemExit, match="dataset"):
+        with pytest.raises(ConfigError, match="dataset"):
             main(["engine"])
 
     def test_engine_run_prints_stages_and_metrics(self, capsys):
@@ -189,45 +195,34 @@ class TestEngineCommand:
         assert "parts    2" in capsys.readouterr().out
 
     def test_unknown_backend_names_choices(self):
-        with pytest.raises(SystemExit, match="valid backends.*fused-dense"):
+        with pytest.raises(ConfigError, match="valid backends.*fused-dense"):
             main(["engine", "cora", "--backend", "tpu"])
 
     def test_float32_on_a_backend_without_it_names_fused_dense(self):
-        with pytest.raises(SystemExit, match="no float32 variant.*fused-dense"):
+        with pytest.raises(ConfigError, match="no float32 variant.*fused-dense"):
             main(["engine", "cora", "--backend", "sparse", "--precision", "float32"])
 
     def test_unknown_method_names_choices(self):
-        with pytest.raises(SystemExit, match="valid methods.*slotalign"):
+        with pytest.raises(ConfigError, match="valid methods.*slotalign"):
             main(["align", "cora", "--method", "does-not-exist"])
-
-    def test_align_accepts_backend_flag(self, capsys):
-        code = main(
-            [
-                "align", "cora",
-                "--scale", "0.02", "--iters", "20",
-                "--backend", "partial-dummy",
-            ]
-        )
-        assert code == 0
-        assert "hits@1" in capsys.readouterr().out
-
-    def test_sparse_backend_rejected_for_dense_methods(self):
-        with pytest.raises(SystemExit, match="dense"):
-            main(["align", "cora", "--backend", "sparse"])
 
     def test_partitioned_method_is_engine_only(self):
         """The partitioned pipeline runs through ``engine --backend
         sparse``; ``align`` names its valid methods instead."""
-        with pytest.raises(SystemExit, match="valid methods.*slotalign"):
+        with pytest.raises(ConfigError, match="valid methods.*slotalign"):
             main(["align", "cora", "--method", "partitioned"])
         with pytest.raises(SystemExit):
             main(["align", "cora", "--n-parts", "2"])
 
-    def test_backend_rejected_for_non_engine_methods(self):
-        with pytest.raises(SystemExit, match="only applies"):
-            main(
-                ["align", "cora", "--method", "knn",
-                 "--backend", "partial-dummy"]
+    def test_backend_rejected_for_non_engine_methods(self, capsys):
+        """``--backend`` and ``--precision`` are ``engine`` flags;
+        ``align`` runs fused-dense at float64 and refuses both."""
+        for flags in (["--backend", "partial-dummy"], ["--precision", "float32"]):
+            with pytest.raises(SystemExit) as info:
+                main(["align", "cora", "--method", "knn", *flags])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flags)}" in (
+                capsys.readouterr().err
             )
 
 
@@ -253,5 +248,5 @@ class TestDecoderCLI:
         assert "hits@1" in out
 
     def test_unknown_decoder_names_choices(self):
-        with pytest.raises(SystemExit, match="valid decoders.*hungarian"):
+        with pytest.raises(ConfigError, match="valid decoders.*hungarian"):
             main(["engine", "cora", "--decoder", "viterbi"])

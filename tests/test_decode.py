@@ -448,50 +448,27 @@ class TestSparsePartitionedDecode:
 
 
 class TestServeDecoder:
-    def test_per_job_decoder_excluded_from_coalescing(self):
-        """Two jobs on the same pair with different decoders share one
-        stacked solve; the decode stage runs per job."""
-        pair = bench_pair(seed=4)
-        service = AlignmentService(
-            FAST, cache=PlanCache(), workers=1, max_batch=8
-        )
-        plain = service.submit(
-            pair.source, pair.target, ground_truth=pair.ground_truth
-        )
-        hung = service.submit(
-            pair.source, pair.target, ground_truth=pair.ground_truth,
-            decoder="hungarian",
-        )
-        with service:
-            assert wait_all([plain, hung], timeout=120)
-        assert plain.batch_size == 2
-        assert hung.batch_size == 2
-        assert plain.result.decoded is None
-        assert hung.result.decoded is not None
-        assert hung.result.decoded.decoder == "hungarian"
-        np.testing.assert_array_equal(
-            plain.result.result.plan, hung.result.result.plan
-        )
-        assert set(plain.result.metrics) == set(hung.result.metrics)
-
-    def test_service_default_decoder_and_per_job_override(self):
+    def test_service_default_decoder(self):
+        """Every job is decoded with the service's decoder, also the two
+        jobs of one coalesced batch."""
         pair = bench_pair(seed=5)
         service = AlignmentService(
             FAST, cache=PlanCache(), workers=1, decoder="mutual-argmax"
         )
-        inherited = service.submit(pair.source, pair.target)
-        overridden = service.submit(
-            pair.source, pair.target, decoder="row-argmax"
-        )
+        jobs = [service.submit(pair.source, pair.target) for _ in range(2)]
         with service:
-            assert wait_all([inherited, overridden], timeout=120)
-        assert inherited.result.decoded.decoder == "mutual-argmax"
-        assert overridden.result.decoded.decoder == "row-argmax"
+            assert wait_all(jobs, timeout=120)
+        expected = decode_plan(
+            AlignmentEngine(FAST, cache=None).align(pair.source, pair.target),
+            "mutual-argmax",
+        )
+        for job in jobs:
+            assert job.batch_size == 2
+            assert job.result.decoded.decoder == "mutual-argmax"
+            np.testing.assert_array_equal(
+                job.result.decoded.matching, expected.matching
+            )
 
     def test_unknown_decoder_rejected_before_the_queue(self):
-        pair = bench_pair(seed=6)
         with pytest.raises(ConfigError, match="valid decoders"):
             AlignmentService(FAST, cache=PlanCache(), decoder="nope")
-        service = AlignmentService(FAST, cache=PlanCache())
-        with pytest.raises(ConfigError, match="valid decoders"):
-            service.submit(pair.source, pair.target, decoder="nope")

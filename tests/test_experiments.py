@@ -119,3 +119,17 @@ class TestRunner:
     def test_unknown_experiment(self):
         with pytest.raises(ValueError):
             run_experiment("fig99", TINY)
+
+    def test_sparse_backend_rejected_for_dense_methods(self, monkeypatch):
+        """Every experiment solves whole pairs densely, so ``--backend
+        sparse`` exits naming the dense choices before any runs."""
+        from repro.experiments import runner
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an experiment ran")
+
+        monkeypatch.setattr(runner, "run_experiment", forbidden)
+        with pytest.raises(
+            SystemExit, match="requires a dense solver backend.*fused-dense"
+        ):
+            runner.main(["fig7", "--backend", "sparse"])

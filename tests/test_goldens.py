@@ -183,7 +183,9 @@ class TestSolvePathGoldens:
         engine = AlignmentEngine(
             cfg, backend=backend, cache=None, precision=precision
         )
-        result = engine.align(pair.source, pair.target, anchors=anchors)
+        result = engine.solve(
+            engine.plan(pair.source, pair.target, anchors=anchors)
+        )
         history = result.extras["history"]
         current = {
             "objective_values": np.asarray(history.objective_values),

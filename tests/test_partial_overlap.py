@@ -272,7 +272,9 @@ class TestClassicalGuards:
         )
         engine = AlignmentEngine(FAST, cache=None, precision=precision)
         with pytest.raises(ConfigError, match="anchor"):
-            engine.align(pair.source, pair.target, anchors=pair.anchors)
+            engine.solve(
+                engine.plan(pair.source, pair.target, anchors=pair.anchors)
+            )
 
     def test_ensure_classical_problem_passes_clean_input(self):
         pair = make_semi_synthetic_pair(base_graph(), seed=0)
@@ -341,7 +343,9 @@ class TestPartialBackends:
         cfg = replace(TINY, partial_mass=pair.overlap_fraction)
         engine = AlignmentEngine(cfg, backend=backend, cache=None)
         anchors = pair.anchors if pair.anchors.size else None
-        result = engine.align(pair.source, pair.target, anchors=anchors)
+        result = engine.solve(
+            engine.plan(pair.source, pair.target, anchors=anchors)
+        )
         return pair, result
 
     def test_dummy_transports_exactly_the_requested_mass(self):

@@ -164,8 +164,9 @@ class TestPooledEqualsSerial:
         assert cfg.partial_mass < 1.0 and pair.anchors.size
 
         def solve():
-            return AlignmentEngine(cfg, backend=backend, cache=None).align(
-                pair.source, pair.target, anchors=pair.anchors
+            engine = AlignmentEngine(cfg, backend=backend, cache=None)
+            return engine.solve(
+                engine.plan(pair.source, pair.target, anchors=pair.anchors)
             )
 
         pooled = solve()
@@ -199,7 +200,7 @@ class TestPooledEqualsSerial:
                 backend_options={"n_parts": 3, "executor": executor},
             ).align(pair.source, pair.target)
 
-        pooled = solve("process")
+        pooled = solve("auto")
         assert_pool_ran(pooled_runs, "align_pair")
         if POOLED:
             assert pooled.extras["executor"] == "process"
@@ -307,7 +308,7 @@ class TestWhereThePoolMayRun:
                 backend_options={"n_parts": 2, "executor": executor},
             ).align(source, target)
 
-        pooled = solve("process")
+        pooled = solve("auto")
         assert_pool_ran(pooled_runs, "align_pair")
         assert not pooled.extras["block_feature_init"]
         for block in pooled.block_results:
@@ -406,17 +407,6 @@ class TestNonFiniteInitPlan:
         with pytest.raises(GraphError, match="init_plan must be finite"):
             engine.align(pair.source, pair.target, init_plan=self.plan(kind, n, m))
         assert pooled_runs == []
-
-    def test_service_job_fails_at_plan_time(self):
-        pair = self.cora_pair()
-        n, m = pair.source.n_nodes, pair.target.n_nodes
-        with AlignmentService(CFG, cache=None) as service:
-            job = service.submit(
-                pair.source, pair.target, init_plan=self.plan("one-inf", n, m)
-            )
-            assert wait_all([job], timeout=120)
-        assert job.state == JobState.FAILED
-        assert job.error.startswith("plan failed: GraphError")
 
 
 #: Run in a fresh interpreter: one multi-start solve, then print the

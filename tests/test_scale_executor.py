@@ -17,11 +17,7 @@ from repro.engine.pipeline import align_pair
 from repro.exceptions import GraphError
 from repro.graphs import stochastic_block_model
 from repro.graphs.features import community_bag_of_words
-from repro.scale import (
-    DivideAndConquerAligner,
-    resolve_executor,
-    run_blocks,
-)
+from repro.scale import EXECUTORS, DivideAndConquerAligner, run_blocks
 
 FAST_CFG = SLOTAlignConfig(
     n_bases=2, structure_lr=0.1, max_outer_iter=40, sinkhorn_iter=30,
@@ -52,14 +48,13 @@ def blocks_of(p, n_parts=3):
 
 
 class TestBitwiseExecutorEquality:
-    @pytest.mark.parametrize("backend", ["process"])
-    def test_block_results_bitwise_equal_serial(self, backend):
+    def test_block_results_bitwise_equal_serial(self):
         p = pair(seed=1)
         blocks = blocks_of(p)
         serial, serial_used = run_blocks(FAST_CFG, blocks, executor="serial")
-        pooled, pooled_used = run_blocks(FAST_CFG, blocks, executor=backend)
+        pooled, pooled_used = run_blocks(FAST_CFG, blocks, executor="auto")
         assert serial_used == "serial"
-        assert pooled_used in (backend, "serial")  # serial = pool fallback
+        assert pooled_used in ("process", "serial")  # serial = pool fallback
         assert len(serial) == len(pooled) == len(blocks)
         for ref, out in zip(serial, pooled):
             np.testing.assert_array_equal(ref.plan, out.plan)
@@ -80,7 +75,7 @@ class TestBitwiseExecutorEquality:
         )
         assert serial.extras["executor"] == "serial"
         pooled = DivideAndConquerAligner(
-            FAST_CFG, n_parts=3, executor="process"
+            FAST_CFG, n_parts=3, executor="auto"
         ).fit(p.source, p.target)
         assert serial.plan.shape == pooled.plan.shape
         diff = serial.plan - pooled.plan
@@ -92,27 +87,30 @@ class TestBitwiseExecutorEquality:
     def test_result_order_matches_input_order(self):
         p = pair(seed=3)
         blocks = blocks_of(p)
-        results, _ = run_blocks(FAST_CFG, blocks, executor="process")
+        results, _ = run_blocks(FAST_CFG, blocks, executor="auto")
         for (sub_s, sub_t), res in zip(blocks, results):
             assert res.plan.shape == (sub_s.n_nodes, sub_t.n_nodes)
 
 
 class TestExecutorResolution:
     def test_known_backends(self):
-        assert resolve_executor("serial") == "serial"
-        assert resolve_executor("process") == "process"
-        assert resolve_executor("auto") in ("serial", "process")
+        """Both names run; fewer than two blocks never reach the pool."""
+        assert EXECUTORS == ("serial", "auto")
+        for executor in EXECUTORS:
+            assert run_blocks(FAST_CFG, [], executor=executor) == ([], "serial")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(GraphError):
-            resolve_executor("distributed")
+            run_blocks(FAST_CFG, [], executor="distributed")
         with pytest.raises(GraphError):
             run_blocks(FAST_CFG, [], executor="gpu")
 
     def test_thread_executor_rejected(self):
-        """Block solves run serially or on a process pool only."""
-        with pytest.raises(GraphError, match="executor must be one of"):
-            resolve_executor("thread")
+        """Block solves run serially or on the shared pool, by the names
+        ``serial`` and ``auto`` only."""
+        for executor in ("thread", "process"):
+            with pytest.raises(GraphError, match="executor must be one of"):
+                run_blocks(FAST_CFG, [], executor=executor)
 
     def test_align_pair_is_module_level(self):
         """The pool target must be picklable by qualified name."""
@@ -138,7 +136,7 @@ class TestExecutorResolution:
         if pool._pool is not None:
             pool._drop_pool(pool._pool)
         monkeypatch.setattr(mp_process.BaseProcess, "start", forbidden)
-        results, used = run_blocks(FAST_CFG, blocks, executor="process")
+        results, used = run_blocks(FAST_CFG, blocks, executor="auto")
         assert used == "serial"
         assert pool._pool is None
         for ref, out in zip(reference, results):
@@ -154,5 +152,5 @@ class TestExecutorResolution:
         sub_s, sub_t = blocks[-1]
         blocks[-1] = (sub_s.with_features(None), sub_t)
         with pytest.raises(GraphError, match="require node features") as info:
-            run_blocks(FAST_CFG, blocks, executor="process")
+            run_blocks(FAST_CFG, blocks, executor="auto")
         assert type(info.value.__cause__).__name__ == "_RemoteTraceback"

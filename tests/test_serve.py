@@ -3,8 +3,8 @@
 Covers the queue primitives (FIFO + selective extraction), admission
 control (graceful rejection with reasons), job ordering under a single
 worker, batch coalescing (engaged *and* bitwise-identical to direct
-engine runs), per-job failure isolation, and the stats/cache-sharing
-surface.
+engine runs) at both precisions, per-job failure isolation, the
+refusal of a partial config, and the stats/cache-sharing surface.
 """
 
 import threading
@@ -16,6 +16,7 @@ import pytest
 from repro.core import SLOTAlignConfig
 from repro.datasets import make_semi_synthetic_pair
 from repro.engine import AlignmentEngine, PlanCache
+from repro.exceptions import ConfigError
 from repro.graphs import stochastic_block_model
 from repro.graphs.features import community_bag_of_words
 from repro.serve import (
@@ -44,17 +45,15 @@ def bench_pair(seed=0, n_per_block=12):
     return make_semi_synthetic_pair(graph, edge_noise=0.1, seed=seed + 2)
 
 
-def direct_plan(pair, config=FAST):
-    return AlignmentEngine(config, cache=None).align(
+def direct_plan(pair, precision="float64"):
+    return AlignmentEngine(FAST, cache=None, precision=precision).align(
         pair.source, pair.target
     ).plan
 
 
 def make_job(seed=0, **kwargs):
     pair = bench_pair(seed=seed)
-    return Job(
-        source=pair.source, target=pair.target, config=FAST, **kwargs
-    )
+    return Job(source=pair.source, target=pair.target, **kwargs)
 
 
 class TestJobQueue:
@@ -225,13 +224,14 @@ class TestCoalescing:
 
     def test_plan_failure_is_isolated_from_the_batch(self):
         pairs = [bench_pair(seed=s) for s in range(3)]
-        bad_init = np.full((5, 5), 1.0 / 25)  # wrong shape for the pair
         service = AlignmentService(
             FAST, cache=PlanCache(), workers=1, max_batch=8
         )
         good = [service.submit(p.source, p.target) for p in pairs[:2]]
+        # same shape, so it joins the batch; no features, so the plan
+        # stage cannot build its node views
         bad = service.submit(
-            pairs[2].source, pairs[2].target, init_plan=bad_init
+            pairs[2].source.with_features(None), pairs[2].target
         )
         with service:
             assert wait_all(good + [bad], timeout=120)
@@ -244,54 +244,77 @@ class TestCoalescing:
             )
 
 
-class TestPartialJobsInService:
-    """Coalescing must never turn a partial job into balanced transport."""
+class TestFloat32Jobs:
+    """A float32 job is solved at float32 and never shares a batch with a
+    float64 job."""
 
-    PARTIAL = replace(FAST, partial_mass=0.8)
-
-    @pytest.mark.parametrize("backend", ["partial-dummy", "partial-unbalanced"])
-    def test_partial_service_solves_queued_jobs_with_its_backend(self, backend):
-        pairs = [bench_pair(seed=s) for s in range(2)]
-        service = AlignmentService(
-            self.PARTIAL, backend=backend, cache=PlanCache(), workers=1,
-            max_batch=8,
+    def test_solo_job_bitwise_equal_to_direct_engine(self):
+        pair = bench_pair(seed=0)
+        with AlignmentService(FAST, cache=PlanCache()) as service:
+            job = service.submit(pair.source, pair.target, precision="float32")
+            assert job.wait(timeout=60)
+        assert job.state is JobState.DONE, job.error
+        assert job.batch_size == 1
+        np.testing.assert_array_equal(
+            job.result.result.plan, direct_plan(pair, "float32")
         )
-        jobs = [service.submit(p.source, p.target) for p in pairs]
-        with service:
-            assert wait_all(jobs, timeout=120)
-        for pair, job in zip(pairs, jobs):
-            assert job.state is JobState.DONE
-            assert job.batch_size == 1
-            result = job.result.result
-            assert result.extras["backend"] == backend
-            assert result.extras["partial"]["mass"] == 0.8
-            direct = AlignmentEngine(
-                self.PARTIAL, backend=backend, cache=None
-            ).align(pair.source, pair.target)
-            np.testing.assert_array_equal(result.plan, direct.plan)
-        assert service.stats()["coalesced_batches"] == 0
 
-    def test_partial_jobs_on_a_fused_dense_service_fail_alone(self):
-        pairs = [bench_pair(seed=s) for s in range(4)]
+    def test_batch_bitwise_equal_to_direct_engine(self):
+        pairs = [bench_pair(seed=s) for s in range(2)]
         service = AlignmentService(
             FAST, cache=PlanCache(), workers=1, max_batch=8
         )
-        good = [service.submit(p.source, p.target) for p in pairs[:2]]
-        bad = [
-            service.submit(p.source, p.target, config=self.PARTIAL)
-            for p in pairs[2:]
+        jobs = [
+            service.submit(p.source, p.target, precision="float32")
+            for p in pairs
         ]
         with service:
-            assert wait_all(good + bad, timeout=120)
-        for job in bad:
-            assert job.state is JobState.FAILED
-            assert "partial_mass=0.8" in job.error
-        for pair, job in zip(pairs, good):
-            assert job.state is JobState.DONE
+            assert wait_all(jobs, timeout=120)
+        for pair, job in zip(pairs, jobs):
+            assert job.state is JobState.DONE, job.error
             assert job.batch_size == 2
+            assert job.result.result.extras["precision"] == "float32"
             np.testing.assert_array_equal(
-                job.result.result.plan, direct_plan(pair)
+                job.result.result.plan, direct_plan(pair, "float32")
             )
+        assert service.stats()["coalesced_batches"] == 1
+
+    def test_precisions_never_share_a_batch(self):
+        pair = bench_pair(seed=0)
+        service = AlignmentService(
+            FAST, cache=PlanCache(), workers=1, max_batch=8
+        )
+        jobs = [
+            service.submit(pair.source, pair.target, precision=precision)
+            for precision in ("float64", "float32")
+        ]
+        with service:
+            assert wait_all(jobs, timeout=120)
+        for job in jobs:
+            assert job.state is JobState.DONE, job.error
+            assert job.batch_size == 1
+            np.testing.assert_array_equal(
+                job.result.result.plan, direct_plan(pair, job.precision)
+            )
+
+    def test_unknown_precision_rejected_before_the_queue(self):
+        pair = bench_pair(seed=0)
+        service = AlignmentService(FAST, cache=PlanCache())
+        with pytest.raises(ConfigError, match="float32, float64"):
+            service.submit(pair.source, pair.target, precision="float16")
+        assert len(service._queue) == 0
+        assert service.stats()["submitted"] == 0
+
+
+class TestPartialJobsInService:
+    def test_partial_config_refused_at_construction(self):
+        """A service solves balanced transport only: a partial config
+        fails when the service is built, naming the partial backends."""
+        with pytest.raises(
+            ConfigError,
+            match="partial_mass=0.8.*partial-dummy, partial-unbalanced",
+        ):
+            AlignmentService(replace(FAST, partial_mass=0.8))
 
 
 class TestAdmissionInService:

@@ -15,6 +15,17 @@ field has to be passed as a keyword argument of some call there
 A field no caller sets is a knob only tests turn; make it a constant of
 the module that reads it, or list it below with the reason it stays.
 
+The front doors follow the same rule: every defaulted parameter of a
+public method of :data:`FRONT_DOORS` must be passed by some call there.
+A call counts when its callee is named like the method (like the class,
+for the constructor), by keyword or, in a call without ``*args``, by
+position.  The receiver's type is not resolved, so a same-named method
+elsewhere can vouch for a parameter; ``pool.submit(fn, *args)`` vouches
+for none by position.  :class:`DivideAndConquerAligner` also takes its
+keywords as the string keys of a dict display, because the ``sparse``
+backend forwards ``AlignmentEngine(backend_options=)`` to it as
+``**options``.
+
 These are tests rather than ``repro lint`` rules because the lint engine
 walks only the package, and a reference from ``benchmarks/``,
 ``examples/`` or ``perfbench/`` must count too.  The name scan is
@@ -24,11 +35,16 @@ the guard catches names nobody talks about, not every dead path.
 
 import ast
 import dataclasses
+import inspect
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
+from repro.core import SLOTAlign
 from repro.core.config import SLOTAlignConfig
+from repro.engine import AlignmentEngine, PlanCache
+from repro.scale import DivideAndConquerAligner
+from repro.serve import AlignmentService
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -71,6 +87,24 @@ ALLOWED = {
 
 #: ``SLOTAlignConfig`` field -> why it stays a field though no caller sets it
 UNSET_FIELDS_ALLOWED: dict[str, str] = {}
+
+#: The classes through which callers reach the solver.
+FRONT_DOORS = (
+    AlignmentEngine, AlignmentService, SLOTAlign, DivideAndConquerAligner,
+    PlanCache,
+)
+
+#: Front doors that also receive the string keys of a dict display as
+#: keywords: the ``sparse`` backend's ``**options``
+DICT_KEY_CALLEES = ("DivideAndConquerAligner",)
+
+#: ``Class.method(parameter=)`` -> why a defaulted front-door parameter
+#: stays though no caller passes it
+UNPASSED_PARAMETERS_ALLOWED = {
+    "PlanCache(max_bytes=)": (
+        "deployment memory budget; tests shrink it to exercise eviction"
+    ),
+}
 
 WORD = re.compile(r"\w+")
 
@@ -165,4 +199,79 @@ def test_every_config_field_is_set_by_some_caller():
     assert not stale, (
         "UNSET_FIELDS_ALLOWED entries that a caller sets now or that are no "
         "longer fields (drop them from the allowlist): " + ", ".join(stale)
+    )
+
+
+def front_door_parameters():
+    """``(key, callee name, position or None, parameter name)`` per
+    defaulted parameter of a public method (or the constructor) of a
+    front door; the position counts after ``self`` and is None for a
+    keyword-only parameter."""
+    for cls in FRONT_DOORS:
+        for method, function in vars(cls).items():
+            if not inspect.isfunction(function) or (
+                method.startswith("_") and method != "__init__"
+            ):
+                continue
+            callee = cls.__name__ if method == "__init__" else method
+            prefix = callee if method == "__init__" else f"{cls.__name__}.{method}"
+            params = list(inspect.signature(function).parameters.values())[1:]
+            for position, param in enumerate(params):
+                if param.default is inspect.Parameter.empty:
+                    continue
+                if param.kind is param.KEYWORD_ONLY:
+                    position = None
+                elif param.kind is not param.POSITIONAL_OR_KEYWORD:
+                    continue
+                yield f"{prefix}({param.name}=)", callee, position, param.name
+
+
+def calls_by_callee():
+    """Per callee name: the keywords its calls pass, and the most
+    positional arguments one of its calls without ``*args`` passes."""
+    keywords, positional = defaultdict(set), Counter()
+    for path in caller_files():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Dict):
+                for callee in DICT_KEY_CALLEES:
+                    keywords[callee].update(
+                        key.value for key in node.keys
+                        if isinstance(key, ast.Constant)
+                        and isinstance(key.value, str)
+                    )
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = getattr(func, "attr", getattr(func, "id", None))
+            if callee is None:
+                continue
+            keywords[callee].update(kw.arg for kw in node.keywords if kw.arg)
+            if not any(isinstance(arg, ast.Starred) for arg in node.args):
+                positional[callee] = max(positional[callee], len(node.args))
+    return keywords, positional
+
+
+def unpassed_parameters():
+    keywords, positional = calls_by_callee()
+    return {
+        key
+        for key, callee, position, name in front_door_parameters()
+        if name not in keywords[callee]
+        and (position is None or positional[callee] <= position)
+    }
+
+
+def test_every_front_door_parameter_is_passed_by_some_caller():
+    unpassed = unpassed_parameters()
+    unexpected = sorted(unpassed - set(UNPASSED_PARAMETERS_ALLOWED))
+    assert not unexpected, (
+        "front-door parameters no call in src/repro, benchmarks/, examples/ "
+        "or perfbench/ passes (delete them, or add them to "
+        "UNPASSED_PARAMETERS_ALLOWED with a reason): " + ", ".join(unexpected)
+    )
+    stale = sorted(set(UNPASSED_PARAMETERS_ALLOWED) - unpassed)
+    assert not stale, (
+        "UNPASSED_PARAMETERS_ALLOWED entries that a caller passes now or that "
+        "are no longer parameters (drop them from the allowlist): "
+        + ", ".join(stale)
     )
